@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from aifseq import __version__
@@ -220,30 +221,37 @@ def _read_classified(args: argparse.Namespace):
     if fmt == SNORT_FAST_FORMAT and args.assumed_year is None:
         raise FormatDetectionError("--format fast requires --assumed-year")
     alerts, stats = read_alert_stream(args.input, fmt, args.assumed_year)
-    pairs = list(classify_stream(alerts, spec, taxonomy))
-    return taxonomy, spec, mapping_source, pairs, stats
+    return taxonomy, spec, mapping_source, classify_stream(alerts, spec, taxonomy), stats
 
 
-def _classification_record(alert, verdict) -> dict:
-    return {
-        "alert_ref": str(alert.raw_ref),
-        "ts": alert.timestamp.isoformat(),
-        "src_ip": alert.src_ip,
-        "src_port": alert.src_port,
-        "dst_ip": alert.dst_ip,
-        "dst_port": alert.dst_port,
-        "protocol": alert.protocol,
-        "gid": alert.generator_id,
-        "sid": alert.signature_id,
-        "rev": alert.revision,
-        "msg": alert.signature_msg,
-        "category": alert.category,
-        "severity": alert.severity,
-        "micro": verdict.micro,
-        "macro": verdict.macro,
-        "matched_rule": verdict.matched_rule,
-        "confidence": verdict.confidence,
-    }
+_CLASSIFICATION_COLUMNS = (
+    "alert_ref", "ts", "src_ip", "src_port", "dst_ip", "dst_port", "protocol",
+    "gid", "sid", "rev", "msg", "category", "severity", "micro", "macro",
+    "matched_rule", "confidence",
+)
+
+
+def _classification_row(alert, verdict) -> list:
+    """One record's values, in ``_CLASSIFICATION_COLUMNS`` order."""
+    return [
+        str(alert.raw_ref),
+        alert.timestamp.isoformat(),
+        alert.src_ip,
+        alert.src_port,
+        alert.dst_ip,
+        alert.dst_port,
+        alert.protocol,
+        alert.generator_id,
+        alert.signature_id,
+        alert.revision,
+        alert.signature_msg,
+        alert.category,
+        alert.severity,
+        verdict.micro,
+        verdict.macro,
+        verdict.matched_rule,
+        verdict.confidence,
+    ]
 
 
 def _write_ndjson(path: Path, records) -> None:
@@ -287,30 +295,28 @@ def _base_config(args: argparse.Namespace, taxonomy, spec, mapping_source: str) 
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    taxonomy, spec, mapping_source, pairs, stats = _read_classified(args)
+    taxonomy, spec, mapping_source, classified, stats = _read_classified(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = [_classification_record(alert, verdict) for alert, verdict in pairs]
+    verdicts = []
 
-    outputs = []
+    def rows():
+        for alert, verdict in classified:
+            verdicts.append(verdict)
+            yield _classification_row(alert, verdict)
+
     if args.output_format == "json":
-        _write_ndjson(out_dir / "classifications.ndjson", records)
-        outputs.append("classifications.ndjson")
+        name = "classifications.ndjson"
+        _write_ndjson(out_dir / name, (dict(zip(_CLASSIFICATION_COLUMNS, row)) for row in rows()))
     else:
-        columns = [
-            "alert_ref", "ts", "src_ip", "src_port", "dst_ip", "dst_port", "protocol",
-            "gid", "sid", "rev", "msg", "category", "severity", "micro", "macro",
-            "matched_rule", "confidence",
-        ]
-        rows = [columns, *[[record[c] for c in columns] for record in records]]
-        _write_csv(out_dir / "classifications.csv", rows)
-        outputs.append("classifications.csv")
+        name = "classifications.csv"
+        _write_csv(out_dir / name, chain([_CLASSIFICATION_COLUMNS], rows()))
 
-    report = coverage_report(spec, [verdict for _, verdict in pairs])
+    report = coverage_report(spec, verdicts)
     (out_dir / "coverage.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
-    outputs.append("coverage.json")
+    outputs = [name, "coverage.json"]
 
     config = _base_config(args, taxonomy, spec, mapping_source)
     _write_manifest(out_dir, "classify", config, stats, outputs)
@@ -321,34 +327,40 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sequence_csv_rows(docs: list[dict]) -> list[list]:
-    rows: list[list] = [
-        ["key", "episode", "start", "end", "step", "ts", "micro", "macro", "run_length", "alert_ref"]
+def _sequence_csv_rows(sequences):
+    yield [
+        "key", "episode", "start", "end", "step", "ts", "micro", "macro", "run_length", "alert_ref"
     ]
-    for doc in docs:
+    for seq in sequences:
+        doc = sequence_to_document(seq)
         for ep_index, episode in enumerate(doc["episodes"]):
             for step_index, step in enumerate(episode["steps"]):
-                rows.append(
-                    [
-                        doc["key"],
-                        ep_index,
-                        episode["start"],
-                        episode["end"],
-                        step_index,
-                        step["ts"],
-                        step["micro"],
-                        step["macro"],
-                        step["run_length"],
-                        step["alert_ref"],
-                    ]
-                )
-    return rows
+                yield [
+                    doc["key"],
+                    ep_index,
+                    episode["start"],
+                    episode["end"],
+                    step_index,
+                    step["ts"],
+                    step["micro"],
+                    step["macro"],
+                    step["run_length"],
+                    step["alert_ref"],
+                ]
+
+
+def _similarity_rows(sequences, method: str, n: int):
+    yield ["key_a", "key_b", "method", "score"]
+    for i, left in enumerate(sequences):
+        for right in sequences[i + 1 :]:
+            score = sequence_similarity(left, right, method, n=n)
+            yield [left.key.label(), right.key.label(), method, f"{score:.6f}"]
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
-    taxonomy, spec, mapping_source, pairs, stats = _read_classified(args)
+    taxonomy, spec, mapping_source, classified, stats = _read_classified(args)
     sequences = build_sequences(
-        pairs,
+        list(classified),
         key_config=_KEYS[args.key],
         gap_threshold=args.gap_seconds,
         include_unclassified=args.include_unclassified,
@@ -356,14 +368,14 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = [sequence_to_document(seq) for seq in sequences]
 
     outputs = []
     if args.output_format == "json":
+        docs = (sequence_to_document(seq) for seq in sequences)
         _write_ndjson(out_dir / "sequences.ndjson", docs)
         outputs.append("sequences.ndjson")
     else:
-        _write_csv(out_dir / "sequences.csv", _sequence_csv_rows(docs))
+        _write_csv(out_dir / "sequences.csv", _sequence_csv_rows(sequences))
         outputs.append("sequences.csv")
 
     if args.transitions:
@@ -378,12 +390,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
     if args.similarity:
         method = "lcs_ratio" if args.similarity == "lcs" else "ngram_jaccard"
-        rows: list[list] = [["key_a", "key_b", "method", "score"]]
-        for i, left in enumerate(sequences):
-            for right in sequences[i + 1 :]:
-                score = sequence_similarity(left, right, method, n=args.ngram_n)
-                rows.append([left.key.label(), right.key.label(), method, f"{score:.6f}"])
-        _write_csv(out_dir / "similarity.csv", rows)
+        _write_csv(out_dir / "similarity.csv", _similarity_rows(sequences, method, args.ngram_n))
         outputs.append("similarity.csv")
 
     config = _base_config(args, taxonomy, spec, mapping_source)

@@ -186,17 +186,6 @@ def _check_port(value: Any, what: str, ref: RawRef) -> int:
     return value
 
 
-def _normalize_ports(
-    protocol: str, src_port: int | None, dst_port: int | None, ref: RawRef
-) -> tuple[int | None, int | None]:
-    if protocol in _PORTFUL_PROTOCOLS:
-        if src_port is None or dst_port is None:
-            raise AlertParseError(f"{protocol} record is missing a port", ref)
-        return src_port, dst_port
-    # Portless protocol: drop any port the producer attached.
-    return None, None
-
-
 def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAlert | None:
     """Parse one EVE JSON record; None for non-alert events.
 
@@ -234,12 +223,12 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError(f"invalid proto {proto!r}", ref)
     protocol = proto.upper()
 
-    src_port = record.get("src_port")
-    dst_port = record.get("dest_port")
     if protocol in _PORTFUL_PROTOCOLS:
-        src_port = _check_port(src_port, "src_port", ref)
-        dst_port = _check_port(dst_port, "dest_port", ref)
-    src_port, dst_port = _normalize_ports(protocol, src_port, dst_port, ref)
+        src_port = _check_port(record.get("src_port"), "src_port", ref)
+        dst_port = _check_port(record.get("dest_port"), "dest_port", ref)
+    else:
+        # Portless protocol: drop any port the producer attached.
+        src_port = dst_port = None
 
     sid = alert["signature_id"]
     gid = alert.get("gid", 1)
@@ -442,6 +431,10 @@ def read_alert_stream(
     """
     if fmt not in (EVE_FORMAT, SNORT_FAST_FORMAT, "auto"):
         raise ValueError(f"unknown format {fmt!r}")
+    if fmt == SNORT_FAST_FORMAT and assumed_year is None:
+        raise FormatDetectionError(
+            "snort_fast input needs assumed_year (the format has no year field)"
+        )
     lines, detected_name = _line_iter(source)
     name = source_name or detected_name
     stats = IngestStats()
@@ -478,8 +471,4 @@ def read_alert_stream(
             if hasattr(lines, "close"):
                 lines.close()
 
-    if fmt == SNORT_FAST_FORMAT and assumed_year is None:
-        raise FormatDetectionError(
-            "snort_fast input needs assumed_year (the format has no year field)"
-        )
     return generate(), stats

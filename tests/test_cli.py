@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from aifseq.classify import starter_mapping_document
 from aifseq.taxonomy import builtin_taxonomy, load_taxonomy
 
 BASE = datetime(2021, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "data" / "golden_scenario.eve.json"
 
 
 def run(capsys, *argv):
@@ -254,6 +260,9 @@ def test_fast_format_requires_year(capsys, tmp_path):
     )
     assert code == 2
     assert "assumed_year" in err
+    # A failed run never writes a manifest, even where --out already exists.
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o2" / "manifest.json").exists()
 
 
 def test_fast_format_with_year_classifies(capsys, tmp_path):
@@ -415,3 +424,88 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.startswith("aifseq ")
+
+
+GOLDEN_SEQUENCE = ["sequence", "--transitions", "both", "--similarity", "lcs"]
+TRANSITIONS_AND_LCS = {
+    "transitions_micro.csv": "f25d6ca08b7c5c6fc580bde22203952e16fe0cf61367787a7184547ad4a90de4",
+    "transitions_macro.csv": "9e4c4f2edca77927696c9d27e3babc61f4270348c025ba85394340aefb3a0c6f",
+    "similarity.csv": "fb90d9f8884fdcaa699b8858c46de5c509781a8b7aae099bf79a0f7fb6589428",
+}
+COVERAGE = {"coverage.json": "ee510ab02063d68a5251001f0c8cec07dc58bbe22c0e9a8f6fb753bc69dbb8a8"}
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["classify"],
+            {
+                **COVERAGE,
+                "classifications.ndjson":
+                    "8d8df4809aa9dcc6269dbfb195ef2d3eb9464de7d827539ffb27706f935938f9",
+            },
+        ),
+        (
+            ["classify", "--output-format", "csv"],
+            {
+                **COVERAGE,
+                "classifications.csv":
+                    "ddc30b90197dd7fcee59daccdfbb02efe79bbdb39e9214f3924b8a143977dc82",
+            },
+        ),
+        (
+            GOLDEN_SEQUENCE,
+            {
+                **TRANSITIONS_AND_LCS,
+                "sequences.ndjson":
+                    "d881ece9a0abc3550ac06c367a114a825bcd9f8dae2d9d47d28ec77c2b48e579",
+            },
+        ),
+        (
+            [*GOLDEN_SEQUENCE, "--output-format", "csv"],
+            {
+                **TRANSITIONS_AND_LCS,
+                "sequences.csv":
+                    "d53cdd44790c3fc74f4aca6d02694fd6cfcc432cb856a581d3a3192fd9d8c88e",
+            },
+        ),
+        (
+            ["sequence", "--similarity", "ngram"],
+            {
+                "sequences.ndjson":
+                    "d881ece9a0abc3550ac06c367a114a825bcd9f8dae2d9d47d28ec77c2b48e579",
+                "similarity.csv":
+                    "1e486f623297dae534f956233a35866c55b458d57e883c5fc2554a4f1e7454e9",
+            },
+        ),
+    ],
+    ids=["classify-json", "classify-csv", "sequence-json", "sequence-csv", "sequence-ngram"],
+)
+def test_golden_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
+    code, _, _ = run(capsys, *argv, "--input", str(GOLDEN), "--out", str(tmp_path))
+    assert code == 0
+    written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert written == set(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_traced_benchmark_run_drives_the_cli(tmp_path):
+    # perfbench/spans.py replaces the layer functions aifseq.cli imports and
+    # counts what build_sequences received; this fails if the CLI stops
+    # calling one of them through its module globals or passes an iterator.
+    spans = tmp_path / "spans.json"
+    result = subprocess.run(
+        [
+            sys.executable, str(REPO / "perfbench" / "spans.py"), str(REPO / "src"), str(spans),
+            *GOLDEN_SEQUENCE, "--input", str(GOLDEN), "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header = json.loads(spans.read_text(encoding="utf-8"))
+    assert header["exit_code"] == 0
+    assert header["counters"]["sequence_alerts"] > 0

@@ -316,6 +316,15 @@ def test_stream_fast_without_year_raises():
         read_alert_stream([FAST_LINE], fmt="snort_fast")
 
 
+def test_stream_fast_without_year_does_not_open_the_file(tmp_path):
+    # The year check runs before the path is opened, so no handle is leaked;
+    # the pytest filterwarnings setting turns an unclosed file into an error.
+    path = tmp_path / "alerts.fast"
+    path.write_text(FAST_LINE + "\n", encoding="utf-8")
+    with pytest.raises(FormatDetectionError, match="assumed_year"):
+        read_alert_stream(path, fmt="snort_fast")
+
+
 def test_stream_auto_fast_without_year_raises_on_first_line():
     alerts, _ = read_alert_stream([FAST_LINE], fmt="auto")
     with pytest.raises(FormatDetectionError, match="assumed_year"):
