@@ -217,10 +217,7 @@ def _cmd_validate_mapping(args: argparse.Namespace) -> int:
 def _read_classified(args: argparse.Namespace):
     taxonomy = _load_active_taxonomy(args.taxonomy)
     spec, mapping_source = _load_mapping_spec(args.mapping, taxonomy)
-    fmt = _FORMATS[args.format]
-    if fmt == SNORT_FAST_FORMAT and args.assumed_year is None:
-        raise FormatDetectionError("--format fast requires --assumed-year")
-    alerts, stats = read_alert_stream(args.input, fmt, args.assumed_year)
+    alerts, stats = read_alert_stream(args.input, _FORMATS[args.format], args.assumed_year)
     return taxonomy, spec, mapping_source, classify_stream(alerts, spec, taxonomy), stats
 
 

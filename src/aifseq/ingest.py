@@ -45,6 +45,8 @@ _FAST_LINE_RE = re.compile(
 # natively on 3.10; both occur in real EVE logs.
 _COMPACT_OFFSET_RE = re.compile(r"([+-]\d{2})(\d{2})$")
 
+_NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year field)"
+
 
 class AlertParseError(ValueError):
     """One record could not be parsed; carries the input locator."""
@@ -148,7 +150,9 @@ class IngestStats:
         }
 
 
-def _parse_timestamp(text: str, ref: RawRef) -> datetime:
+def _parse_timestamp(text: Any, ref: RawRef) -> datetime:
+    if not isinstance(text, str):
+        raise AlertParseError(f"invalid timestamp {text!r}", ref)
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
@@ -159,7 +163,10 @@ def _parse_timestamp(text: str, ref: RawRef) -> datetime:
             raise AlertParseError(f"unparseable timestamp {text!r}", ref) from None
     if ts.tzinfo is None:
         raise AlertParseError(f"timestamp {text!r} has no UTC offset", ref)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise AlertParseError(f"timestamp {text!r} is out of range in UTC", ref) from None
 
 
 def _valid_ip(text: Any) -> bool:
@@ -189,13 +196,17 @@ def _check_port(value: Any, what: str, ref: RawRef) -> int:
 def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAlert | None:
     """Parse one EVE JSON record; None for non-alert events.
 
-    Raises AlertParseError on malformed JSON, missing mandatory fields, or
-    an unparseable timestamp. Unknown EVE fields are ignored.
+    Raises AlertParseError on malformed or too deeply nested JSON, missing
+    mandatory fields, or a timestamp that is not a string, does not parse,
+    or falls outside the datetime range in UTC. Unknown EVE fields are
+    ignored.
     """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise AlertParseError(f"malformed JSON: {exc.msg}", ref) from None
+    except RecursionError:
+        raise AlertParseError("malformed JSON: nested too deeply", ref) from None
     if not isinstance(record, dict):
         raise AlertParseError("record is not a JSON object", ref)
     if record.get("event_type") != "alert":
@@ -432,9 +443,7 @@ def read_alert_stream(
     if fmt not in (EVE_FORMAT, SNORT_FAST_FORMAT, "auto"):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == SNORT_FAST_FORMAT and assumed_year is None:
-        raise FormatDetectionError(
-            "snort_fast input needs assumed_year (the format has no year field)"
-        )
+        raise FormatDetectionError(_NO_YEAR_MESSAGE)
     lines, detected_name = _line_iter(source)
     name = source_name or detected_name
     stats = IngestStats()
@@ -449,9 +458,7 @@ def read_alert_stream(
                 if resolved is None:
                     resolved = EVE_FORMAT if stripped.startswith("{") else SNORT_FAST_FORMAT
                     if resolved == SNORT_FAST_FORMAT and assumed_year is None:
-                        raise FormatDetectionError(
-                            "snort_fast input needs assumed_year (the format has no year field)"
-                        )
+                        raise FormatDetectionError(_NO_YEAR_MESSAGE)
                 ref = RawRef(name, index)
                 stats.records_seen += 1
                 try:

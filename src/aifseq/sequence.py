@@ -7,11 +7,12 @@ ordered label lists: run-length collapse of repeated micro labels,
 within-episode transition matrices, n-gram extraction, and cross-attacker
 similarity (LCS ratio or n-gram Jaccard).
 
-Episodes keep one step per alert so the original stream is recoverable;
-collapsing happens in the analytics and in the export, where each emitted
-step carries its run length. Transitions are always counted within a
-single episode, never across episode or attacker boundaries. Every
-sequence records the gap threshold that produced it.
+Episodes keep one step per alert so the original stream is recoverable.
+Each episode collapses its repeated micros once, on first use, and the
+analytics and the export share the result; each exported step carries its
+run length. Transitions are always counted within a single episode, never
+across episode or attacker boundaries. Every sequence records the gap
+threshold that produced it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from aifseq.classify import Classification
 from aifseq.ingest import NormalizedAlert, RawRef
@@ -74,18 +76,15 @@ class Episode:
     def end(self):
         return self.steps[-1].ts
 
-    def micro_labels(self) -> list[str]:
-        return [step.micro for step in self.steps]
-
-    def collapsed_runs(self) -> list[tuple[SequenceStep, int]]:
+    @cached_property
+    def collapsed_runs(self) -> tuple[tuple[SequenceStep, int], ...]:
         """Maximal runs of identical micros: (first step of run, run length)."""
         runs: list[tuple[SequenceStep, int]] = []
-        for step in self.steps:
-            if runs and runs[-1][0].micro == step.micro:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((step, 1))
-        return runs
+        start = 0
+        for _, run in collapse_repeats(step.micro for step in self.steps):
+            runs.append((self.steps[start], run))
+            start += run
+        return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class AisSequence:
         return sum(len(ep.steps) for ep in self.episodes)
 
     def collapsed_episode_labels(self) -> list[list[str]]:
-        return [[step.micro for step, _ in ep.collapsed_runs()] for ep in self.episodes]
+        return [[step.micro for step, _ in ep.collapsed_runs] for ep in self.episodes]
 
     def flattened_collapsed(self) -> list[str]:
         return [label for labels in self.collapsed_episode_labels() for label in labels]
@@ -130,7 +129,7 @@ def build_sequences(
     if skew_seconds < 0:
         raise ValueError("skew_seconds must be non-negative")
 
-    kept: list[tuple[NormalizedAlert, Classification]] = []
+    groups: dict[tuple[str, ...], list[SequenceStep]] = {}
     max_ts = None
     max_ref = None
     for alert, verdict in classified:
@@ -144,22 +143,18 @@ def build_sequences(
             max_ts, max_ref = ts, alert.raw_ref
         if not include_unclassified and verdict.micro == SENTINEL_KEY:
             continue
-        kept.append((alert, verdict))
-
-    kept.sort(key=lambda pair: pair[0].timestamp)
-
-    groups: dict[tuple[str, ...], list[tuple[NormalizedAlert, Classification]]] = {}
-    for alert, verdict in kept:
         value = (alert.src_ip,) if key_config == "src" else (alert.src_ip, alert.dst_ip)
-        groups.setdefault(value, []).append((alert, verdict))
+        step = SequenceStep(ts, verdict.micro, verdict.macro, alert.raw_ref)
+        groups.setdefault(value, []).append(step)
 
+    # A stable global sort followed by a partition orders each group exactly
+    # like a stable sort of that group alone, so sorting per key is enough.
     sequences: list[AisSequence] = []
     for value in sorted(groups):
         key = AttackerKey(key_fields=fields, value=value)
         episodes: list[Episode] = []
         current: list[SequenceStep] = []
-        for alert, verdict in groups[value]:
-            step = SequenceStep(alert.timestamp, verdict.micro, verdict.macro, alert.raw_ref)
+        for step in sorted(groups[value], key=attrgetter("ts")):
             if current and (step.ts - current[-1].ts).total_seconds() > gap_threshold:
                 episodes.append(Episode(key=key, steps=tuple(current)))
                 current = []
@@ -240,17 +235,16 @@ def transition_matrix(
     0x0 matrix.
     """
     lvl = AisLevel(level)
+    # The level values are the SequenceStep field names.
+    label_of = attrgetter(lvl.value)
     label_lists: list[list[str]] = []
     for seq in seqs:
         for episode in seq.episodes:
             if collapsed:
-                source: Sequence[SequenceStep] = [step for step, _ in episode.collapsed_runs()]
+                source: Sequence[SequenceStep] = [step for step, _ in episode.collapsed_runs]
             else:
                 source = episode.steps
-            if lvl is AisLevel.MICRO:
-                label_lists.append([step.micro for step in source])
-            else:
-                label_lists.append([step.macro for step in source])
+            label_lists.append([label_of(step) for step in source])
 
     states = sorted({label for labels in label_lists for label in labels})
     index = {state: i for i, state in enumerate(states)}
@@ -336,7 +330,7 @@ def sequence_to_document(seq: AisSequence) -> dict:
                 "run_length": run,
                 "alert_ref": str(step.alert_ref),
             }
-            for step, run in episode.collapsed_runs()
+            for step, run in episode.collapsed_runs
         ]
         episodes.append(
             {

@@ -290,6 +290,24 @@ def test_stream_counts_and_error_isolation():
     assert len(stats.first_error_samples) == 2
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        eve_line(timestamp=123),
+        eve_line(timestamp=None),
+        eve_line(timestamp="9999-12-31T23:59:59-01:00"),
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["int_timestamp", "null_timestamp", "timestamp_overflows_utc", "deep_nesting"],
+)
+def test_stream_counts_hostile_record_and_keeps_going(bad_line):
+    alerts, stats = read_alert_stream([bad_line, eve_line()], fmt="eve")
+    out = list(alerts)
+    assert stats.malformed == 1
+    assert [alert.raw_ref.index for alert in out] == [2]
+    assert stats.reconciles()
+
+
 def test_stream_error_samples_capped():
     lines = ["{nope"] * 25
     alerts, stats = read_alert_stream(lines, fmt="eve")

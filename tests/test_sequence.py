@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
@@ -405,6 +407,90 @@ def test_segmentation_matches_brute_force_splitter():
                 assert all(d <= gap for d in deltas)
             for prev, nxt in zip(seq.episodes, seq.episodes[1:]):
                 assert (nxt.start - prev.end).total_seconds() > gap
+
+
+def interleaved_stream(rng, skew):
+    """Several attackers and destinations on a coarse time grid, so ties are
+    common; each record arrives up to ``skew`` seconds behind its nominal
+    time, and about a fifth of the verdicts are unclassified."""
+    sources = [f"10.0.0.{i}" for i in range(rng.randint(2, 5))]
+    destinations = ["192.168.1.20", "192.168.1.21", "192.168.1.22"]
+    micros = [A, B, C, "unclassified"]
+    nominal = 0
+    stream = []
+    for _ in range(rng.randint(0, 80)):
+        nominal += rng.choice([0, 0, 1, 2, 5, 40])
+        micro = "unclassified" if rng.random() < 0.2 else rng.choice(micros[:3])
+        stream.append(
+            pair(
+                nominal - rng.randint(0, skew),
+                micro=micro,
+                src=rng.choice(sources),
+                dst=rng.choice(destinations),
+            )
+        )
+    return stream
+
+
+def oracle_sequences(stream, key_config, gap, include_unclassified):
+    """Brute force: filter, stable global sort, group, then split on gaps."""
+    kept = [
+        (alert, verdict)
+        for alert, verdict in stream
+        if include_unclassified or verdict.micro != "unclassified"
+    ]
+    kept = sorted(kept, key=lambda p: p[0].timestamp)
+    groups = {}
+    for alert, verdict in kept:
+        value = (alert.src_ip,) if key_config == "src" else (alert.src_ip, alert.dst_ip)
+        step = (alert.timestamp, verdict.micro, verdict.macro, alert.raw_ref)
+        groups.setdefault(value, []).append(step)
+    result = []
+    for value in sorted(groups):
+        bounds = oracle_split([step[0] for step in groups[value]], gap)
+        episodes, start = [], 0
+        for chunk in bounds:
+            episodes.append(groups[value][start : start + len(chunk)])
+            start += len(chunk)
+        result.append((value, episodes))
+    return result
+
+
+def test_interleaved_attackers_match_brute_force_oracle():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        skew = rng.choice([0, 3, 5])
+        stream = interleaved_stream(rng, skew)
+        gap = rng.choice([1, 4, 30])
+        for key_config in ("src", "src_dst"):
+            for include_unclassified in (False, True):
+                seqs = build_sequences(
+                    stream,
+                    key_config,
+                    gap,
+                    include_unclassified=include_unclassified,
+                    skew_seconds=skew,
+                )
+                got = [
+                    (
+                        seq.key.value,
+                        [
+                            [(st.ts, st.micro, st.macro, st.alert_ref) for st in ep.steps]
+                            for ep in seq.episodes
+                        ],
+                    )
+                    for seq in seqs
+                ]
+                assert got == oracle_sequences(stream, key_config, gap, include_unclassified)
+                for seq in seqs:
+                    for ep in seq.episodes:
+                        expected_runs = []
+                        for _, group in groupby(ep.steps, key=attrgetter("micro")):
+                            run = list(group)
+                            expected_runs.append((run[0], len(run)))
+                        assert list(ep.collapsed_runs) == expected_runs
+                        assert isinstance(ep.collapsed_runs, tuple)
+                        assert ep.collapsed_runs is ep.collapsed_runs
 
 
 def test_sequence_export_shape():
