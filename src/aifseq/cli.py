@@ -348,10 +348,11 @@ def _sequence_csv_rows(sequences):
 
 def _similarity_rows(sequences, method: str, n: int):
     yield ["key_a", "key_b", "method", "score"]
+    labels = [seq.key.label() for seq in sequences]
     for i, left in enumerate(sequences):
-        for right in sequences[i + 1 :]:
+        for right, right_label in zip(sequences[i + 1 :], labels[i + 1 :]):
             score = sequence_similarity(left, right, method, n=n)
-            yield [left.key.label(), right.key.label(), method, f"{score:.6f}"]
+            yield [labels[i], right_label, method, f"{score:.6f}"]
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:

@@ -64,7 +64,7 @@ class FormatDetectionError(ValueError):
     """The input format could not be determined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawRef:
     """Locator of one input record: source name plus 1-based line number."""
 

@@ -5,7 +5,7 @@ source/destination pair), split into episodes wherever the gap between
 consecutive alerts exceeds a threshold (strictly greater), and analyzed as
 ordered label lists: run-length collapse of repeated micro labels,
 within-episode transition matrices, n-gram extraction, and cross-attacker
-similarity (LCS ratio or n-gram Jaccard).
+similarity (LCS ratio, computed bit-parallel, or n-gram Jaccard).
 
 Episodes keep one step per alert so the original stream is recoverable.
 Each episode collapses its repeated micros once, on first use, and the
@@ -51,7 +51,7 @@ class AttackerKey:
         return "->".join(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceStep:
     """One classified alert inside an episode."""
 
@@ -89,7 +89,12 @@ class Episode:
 
 @dataclass(frozen=True)
 class AisSequence:
-    """All of one attacker's episodes, in time order."""
+    """All of one attacker's episodes, in time order.
+
+    The similarity features (flattened labels, label bitmasks, n-gram
+    unions) are computed once, on first use, so all-pairs similarity
+    builds them once per sequence rather than once per pair.
+    """
 
     key: AttackerKey
     episodes: tuple[Episode, ...]
@@ -101,8 +106,33 @@ class AisSequence:
     def collapsed_episode_labels(self) -> list[list[str]]:
         return [[step.micro for step, _ in ep.collapsed_runs] for ep in self.episodes]
 
-    def flattened_collapsed(self) -> list[str]:
-        return [label for labels in self.collapsed_episode_labels() for label in labels]
+    @cached_property
+    def flattened_collapsed(self) -> tuple[str, ...]:
+        """Every episode's collapsed micros, concatenated in time order."""
+        return tuple(label for labels in self.collapsed_episode_labels() for label in labels)
+
+    @cached_property
+    def label_masks(self) -> dict[str, int]:
+        """Per label, the bits of the positions it holds in ``flattened_collapsed``."""
+        masks: dict[str, int] = {}
+        for i, label in enumerate(self.flattened_collapsed):
+            masks[label] = masks.get(label, 0) | 1 << i
+        return masks
+
+    @cached_property
+    def _gram_unions(self) -> dict[int, frozenset[tuple[str, ...]]]:
+        return {}
+
+    def gram_union(self, n: int) -> frozenset[tuple[str, ...]]:
+        """Union of the per-episode n-gram sets; windows never span an episode boundary."""
+        _check_n(n)
+        grams = self._gram_unions.get(n)
+        if grams is None:
+            grams = frozenset(
+                gram for labels in self.collapsed_episode_labels() for gram in extract_ngrams(labels, n)
+            )
+            self._gram_unions[n] = grams
+        return grams
 
 
 def build_sequences(
@@ -257,35 +287,38 @@ def transition_matrix(
     )
 
 
-def extract_ngrams(steps: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    """All contiguous length-n windows with multiplicity."""
+def _check_n(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
+def extract_ngrams(steps: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
+    """All contiguous length-n windows with multiplicity."""
+    _check_n(n)
     labels = list(steps)
     return Counter(tuple(labels[i : i + n]) for i in range(len(labels) - n + 1))
 
 
-def _lcs_length(x: Sequence[str], y: Sequence[str]) -> int:
-    if len(x) < len(y):
+def _lcs_length(x: AisSequence, y: AisSequence) -> int:
+    """LCS length of the flattened collapsed lists, bit-parallel.
+
+    Allison & Dix (IPL 1986) as restated by Hyyrö (2004): bit i of ``v``
+    stands for position i of the longer list, and the loop makes one step
+    per label of the shorter one, so a pair costs O(len(shorter)) big-int
+    operations. The zero bits among the low ``m`` bits of ``v`` count the
+    LCS; carries past bit ``m - 1`` never reach back down, so ``v`` is
+    masked only at the end.
+    """
+    if len(x.flattened_collapsed) < len(y.flattened_collapsed):
         x, y = y, x
-    previous = [0] * (len(y) + 1)
-    for xi in x:
-        current = [0]
-        for j, yj in enumerate(y, start=1):
-            if xi == yj:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
-
-
-def _gram_union(seq: AisSequence, n: int) -> set[tuple[str, ...]]:
-    # Windows never span an episode boundary.
-    grams: set[tuple[str, ...]] = set()
-    for labels in seq.collapsed_episode_labels():
-        grams.update(extract_ngrams(labels, n).keys())
-    return grams
+    masks = x.label_masks
+    m = len(x.flattened_collapsed)
+    full = (1 << m) - 1
+    v = full
+    for label in y.flattened_collapsed:
+        u = v & masks.get(label, 0)
+        v = (v + u) | (v - u)
+    return m - (v & full).bit_count()
 
 
 def sequence_similarity(
@@ -299,18 +332,18 @@ def sequence_similarity(
     scores 0; when neither side yields any n-gram the score is 1 exactly
     when the flattened lists are identical.
     """
-    flat_x = x.flattened_collapsed()
-    flat_y = y.flattened_collapsed()
+    flat_x = x.flattened_collapsed
+    flat_y = y.flattened_collapsed
     if not flat_x and not flat_y:
         return 1.0
     if not flat_x or not flat_y:
         return 0.0
 
     if method == "lcs_ratio":
-        return _lcs_length(flat_x, flat_y) / max(len(flat_x), len(flat_y))
+        return _lcs_length(x, y) / max(len(flat_x), len(flat_y))
     if method == "ngram_jaccard":
-        grams_x = _gram_union(x, n)
-        grams_y = _gram_union(y, n)
+        grams_x = x.gram_union(n)
+        grams_y = y.gram_union(n)
         union = grams_x | grams_y
         if not union:
             return 1.0 if flat_x == flat_y else 0.0

@@ -19,6 +19,10 @@ BASE = datetime(2021, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "data" / "golden_scenario.eve.json"
 
+sys.path.insert(0, str(REPO / "perfbench"))
+import corpus  # noqa: E402
+import spans  # noqa: E402
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -509,3 +513,55 @@ def test_traced_benchmark_run_drives_the_cli(tmp_path):
     header = json.loads(spans.read_text(encoding="utf-8"))
     assert header["exit_code"] == 0
     assert header["counters"]["sequence_alerts"] > 0
+
+
+# The benchmark's similarity_lcs corpus at seed 1: 160 attackers with
+# heavy-tailed lengths (collapsed sequences of 4 to 420 labels, so the LCS
+# bit vectors span several 64-bit words) and 12,720 pairs. Digests derived
+# with the O(n*m) table implementation.
+SIMILARITY_CORPUS = corpus.CorpusSpec("eve", alerts=5_000, attackers=160)
+SIMILARITY_DIGESTS = {
+    "lcs": "d56a9d1513836e3b798c23c07af8fa795fa8a5518e5dfad366392b42b06e2492",
+    "ngram": "e5dbbfab513338d02968a84915830fbdd0a583aebb3ace559055a719b1db4e3f",
+}
+
+
+@pytest.fixture(scope="module")
+def similarity_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("similarity_corpus")
+    path = root / "alerts.eve.json"
+    corpus.generate(SIMILARITY_CORPUS, 1, path, root / "truth.json")
+    return path
+
+
+@pytest.mark.parametrize("method", sorted(SIMILARITY_DIGESTS))
+def test_similarity_bytes_on_long_sequences_are_pinned(capsys, tmp_path, similarity_corpus, method):
+    code, _, _ = run(
+        capsys, "sequence", "--format", "eve", "--similarity", method,
+        "--input", str(similarity_corpus), "--out", str(tmp_path),
+    )
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "similarity.csv").read_bytes()).hexdigest()
+    assert digest == SIMILARITY_DIGESTS[method]
+
+
+def test_traced_run_makes_one_similarity_call_per_pair(tmp_path, similarity_corpus):
+    # The per-pair figures of the similarity layer divide by the calls the
+    # tracer sees; this fails if similarity stops going through
+    # sequence_similarity once per pair.
+    spans_path = tmp_path / "spans.json"
+    result = subprocess.run(
+        [
+            sys.executable, str(REPO / "perfbench" / "spans.py"), str(REPO / "src"), str(spans_path),
+            "sequence", "--format", "eve", "--similarity", "lcs",
+            "--input", str(similarity_corpus), "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = spans.summarize(spans_path)
+    attackers = summary["counters"]["attackers"]
+    assert attackers == SIMILARITY_CORPUS.attackers
+    assert summary["calls"]["sequence.similarity"] == attackers * (attackers - 1) // 2

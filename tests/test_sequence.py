@@ -8,6 +8,8 @@ from itertools import groupby
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aifseq.classify import Classification
 from aifseq.ingest import NormalizedAlert, RawRef
@@ -374,6 +376,100 @@ def test_similarity_symmetric_random():
             yx = sequence_similarity(y, x, method)
             assert xy == yx
             assert 0.0 <= xy <= 1.0
+
+
+def lcs_table(x, y):
+    """Plain O(n*m) dynamic-programming LCS length, the oracle for the kernel."""
+    previous = [0] * (len(y) + 1)
+    for xi in x:
+        current = [0]
+        for j, yj in enumerate(y, start=1):
+            if xi == yj:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
+
+
+# Collapsed lengths straddle the 64-, 128- and 256-bit word edges of the
+# bit-parallel kernel's big-int vectors.
+COLLAPSED_LENGTHS = st.one_of(
+    st.integers(0, 300), st.sampled_from((63, 64, 65, 127, 128, 129, 255, 256, 257))
+)
+
+
+@st.composite
+def collapsed_sequence(draw, alphabet, key_value):
+    """A sequence whose flattened collapsed labels are drawn directly.
+
+    Adjacent labels differ inside an episode, so ``labels`` is exactly the
+    flattened collapsed list; each label becomes a run of 1-3 steps, and
+    equal neighbours may only sit across an episode boundary.
+    """
+    length = draw(COLLAPSED_LENGTHS)
+    k = len(alphabet)
+    if k == 1:
+        cuts = set(range(1, length))
+    else:
+        cuts = draw(st.sets(st.integers(1, max(length - 1, 1)), max_size=4))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=length, max_size=length))
+    runs = draw(st.lists(st.integers(1, 3), min_size=length, max_size=length))
+    indices: list[int] = []
+    for i, pick in enumerate(picks):
+        if i == 0 or i in cuts:
+            indices.append(pick)
+        else:
+            indices.append((indices[-1] + 1 + pick % (k - 1)) % k)
+    episodes: list[list[str]] = [[]]
+    for i, (index, run) in enumerate(zip(indices, runs)):
+        if i in cuts:
+            episodes.append([])
+        episodes[-1].extend([alphabet[index]] * run)
+    labels = [alphabet[index] for index in indices]
+    return labels, seq_of(*[ep for ep in episodes if ep], key_value=key_value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lcs_ratio_matches_dp_table(data):
+    micros = TAX.micro_keys()
+    alphabet = data.draw(st.lists(st.sampled_from(micros), min_size=1, max_size=len(micros), unique=True))
+    x_labels, x = data.draw(collapsed_sequence(alphabet, ("10.0.0.5",)))
+    # y may miss some of x's labels, so the kernel also meets absent masks.
+    y_alphabet = alphabet[data.draw(st.integers(0, len(alphabet) - 1)) :]
+    y_labels, y = data.draw(collapsed_sequence(y_alphabet, ("10.0.0.9",)))
+    assert list(x.flattened_collapsed) == x_labels
+    assert list(y.flattened_collapsed) == y_labels
+    if not x_labels and not y_labels:
+        expected = 1.0
+    elif not x_labels or not y_labels:
+        expected = 0.0
+    else:
+        expected = lcs_table(x_labels, y_labels) / max(len(x_labels), len(y_labels))
+    assert sequence_similarity(x, y, "lcs_ratio") == expected
+    assert sequence_similarity(y, x, "lcs_ratio") == expected
+
+
+def test_similarity_features_are_cached_per_sequence_and_per_n():
+    x = seq_of([A, B, C, A, B], [D, A])
+    y = seq_of([A, B, C, D, A], key_value=("10.0.0.9",))
+    assert x.flattened_collapsed is x.flattened_collapsed
+    assert x.label_masks is x.label_masks
+    lcs = sequence_similarity(x, y, "lcs_ratio")
+    assert lcs == sequence_similarity(x, y, "lcs_ratio") == sequence_similarity(y, x, "lcs_ratio")
+    assert lcs == lcs_table([A, B, C, A, B, D, A], [A, B, C, D, A]) / 7
+    # Bigrams {AB, BC, CA, DA} vs {AB, BC, CD, DA}; trigrams
+    # {ABC, BCA, CAB} vs {ABC, BCD, CDA}. Each n keeps its own set.
+    assert sequence_similarity(x, y, "ngram_jaccard", n=2) == 3 / 5
+    assert sequence_similarity(x, y, "ngram_jaccard", n=3) == 1 / 5
+    assert sequence_similarity(x, y, "ngram_jaccard", n=2) == 3 / 5
+    assert x.gram_union(3) == {(A, B, C), (B, C, A), (C, A, B)}
+    assert sequence_similarity(x, y, "ngram_jaccard", n=1) == 1.0
+    # A cached n=1 set must not answer for values that merely compare equal.
+    for bad in (True, 1.0, 2.0):
+        with pytest.raises(ValueError, match="n must be"):
+            sequence_similarity(x, y, "ngram_jaccard", n=bad)
 
 
 def oracle_split(times, gap):
