@@ -24,7 +24,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Any, Iterable, Iterator
 
-from aifseq.ingest import NormalizedAlert, RawRef
+from aifseq.ingest import NormalizedAlert
 from aifseq.taxonomy import SENTINEL_KEY, Taxonomy
 
 _PREDICATE_KEYS = (
@@ -50,13 +50,27 @@ class MappingError(ValueError):
 
 
 @dataclass(frozen=True)
+class Classification:
+    """A rule's verdict, built once when the mapping loads.
+
+    Every alert the rule matches shares it; the alert travels beside it as
+    ``(alert, verdict)``.
+    """
+
+    micro: str
+    macro: str
+    matched_rule: str | None
+    confidence: float
+
+
+@dataclass(frozen=True)
 class MappingRule:
     """One classification rule: a predicate conjunction and its verdict."""
 
     rule_id: str
     priority: int
     target_micro: str
-    confidence: float | None = None
+    verdict: Classification
     category_equals: str | None = None
     msg_contains_all: tuple[str, ...] | None = None
     msg_regex: re.Pattern[str] | None = None
@@ -108,19 +122,13 @@ class MappingSpec:
             sorted(self.rules, key=lambda r: (-r.priority, -r.predicate_count, r.rule_id))
         )
 
+    @cached_property
+    def unclassified(self) -> Classification:
+        """The one verdict every unmatched alert shares."""
+        return Classification(SENTINEL_KEY, SENTINEL_KEY, None, self.default_confidence)
+
     def rule_ids(self) -> list[str]:
         return [rule.rule_id for rule in self.rules]
-
-
-@dataclass(frozen=True)
-class Classification:
-    """One alert's verdict; macro always derives from micro."""
-
-    micro: str
-    macro: str
-    matched_rule: str | None
-    confidence: float
-    alert_ref: RawRef
 
 
 def _valid_confidence(value: Any) -> bool:
@@ -148,7 +156,9 @@ def _parse_sid_ranges(value: Any, where: str, findings: list[str]) -> tuple[tupl
     return tuple(ranges)
 
 
-def _parse_rule(raw: Any, index: int, taxonomy: Taxonomy, findings: list[str]) -> MappingRule | None:
+def _parse_rule(
+    raw: Any, index: int, taxonomy: Taxonomy, default_confidence: float, findings: list[str]
+) -> MappingRule | None:
     where = f"rules[{index}]"
     if not isinstance(raw, dict):
         findings.append(f"{where}: rule is not an object")
@@ -231,13 +241,13 @@ def _parse_rule(raw: Any, index: int, taxonomy: Taxonomy, findings: list[str]) -
             return None
         fields["severity_at_most"] = value
 
-    return MappingRule(
-        rule_id=rule_id,
-        priority=priority,
-        target_micro=target,
-        confidence=float(confidence) if confidence is not None else None,
-        **fields,
+    verdict = Classification(
+        micro=target,
+        macro=taxonomy.macro_of(target),
+        matched_rule=rule_id if target != SENTINEL_KEY else None,
+        confidence=float(default_confidence if confidence is None else confidence),
     )
+    return MappingRule(rule_id=rule_id, priority=priority, target_micro=target, verdict=verdict, **fields)
 
 
 def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
@@ -245,7 +255,7 @@ def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
 
     Raises MappingError listing every problem found: unknown target micros,
     invalid regexes, duplicate rule ids, empty predicate sets, malformed
-    values. Regexes are compiled here, once.
+    values. Regexes are compiled and each rule's verdict is built here, once.
     """
     findings: list[str] = []
     if not isinstance(document, dict):
@@ -268,7 +278,7 @@ def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
     else:
         seen: set[str] = set()
         for index, raw in enumerate(raw_rules):
-            rule = _parse_rule(raw, index, taxonomy, findings)
+            rule = _parse_rule(raw, index, taxonomy, default_confidence, findings)
             if rule is None:
                 continue
             if rule.rule_id in seen:
@@ -289,28 +299,16 @@ def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
 def classify_alert(alert: NormalizedAlert, spec: MappingSpec, taxonomy: Taxonomy) -> Classification:
     """Assign exactly one micro state (and its macro) to an alert.
 
-    Total: an alert no rule matches gets the sentinel with the mapping's
-    default confidence. A sentinel verdict never carries a rule id, even
-    when a rule targeted the sentinel explicitly.
+    Returns the first matching rule's verdict, whose macro was resolved
+    against ``taxonomy`` when ``spec`` was loaded from it. Total: an alert
+    no rule matches gets ``spec.unclassified``, the sentinel with the
+    mapping's default confidence. A sentinel verdict never carries a rule id.
     """
     msg_lower = alert.signature_msg.lower()
     for rule in spec.ordered_rules:
         if rule.matches(alert, msg_lower):
-            micro = rule.target_micro
-            return Classification(
-                micro=micro,
-                macro=taxonomy.macro_of(micro),
-                matched_rule=rule.rule_id if micro != SENTINEL_KEY else None,
-                confidence=rule.confidence if rule.confidence is not None else spec.default_confidence,
-                alert_ref=alert.raw_ref,
-            )
-    return Classification(
-        micro=SENTINEL_KEY,
-        macro=SENTINEL_KEY,
-        matched_rule=None,
-        confidence=spec.default_confidence,
-        alert_ref=alert.raw_ref,
-    )
+            return rule.verdict
+    return spec.unclassified
 
 
 def classify_stream(

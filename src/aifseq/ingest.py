@@ -30,16 +30,13 @@ SNORT_FAST_FORMAT = "snort_fast"
 
 _PORTFUL_PROTOCOLS = frozenset({"TCP", "UDP", "SCTP"})
 
-_FAST_LINE_RE = re.compile(
-    r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})\s+"
-    r"\[\*\*\]\s+"
-    r"\[(\d+):(\d+):(\d+)\]\s+"
-    r"(.*?)\s+\[\*\*\]\s+"
-    r"(?:\[Classification:\s*([^\]]*?)\s*\]\s+)?"
-    r"(?:\[Priority:\s*(\d+)\]\s+)?"
-    r"\{(\S+)\}\s+"
-    r"(\S+)\s+->\s+(\S+)\s*$"
+# A fast line is parsed in pieces because one regex over the whole line
+# backtracks in cubic time when the message is a long run of whitespace: the
+# separators on either side of a lazy message all compete for the same run.
+_FAST_HEAD_RE = re.compile(
+    r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})\s+\[\*\*\]\s+\[(\d+):(\d+):(\d+)\]"
 )
+_FAST_BLOCKS_RE = re.compile(r"(?:\s+\[Classification:([^\]]*)\])?(?:\s+\[Priority:\s*(\d+)\])?")
 
 # Offsets like +0000 (no colon) predate the +00:00 spelling Python parses
 # natively on 3.10; both occur in real EVE logs.
@@ -296,6 +293,53 @@ def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | N
     return text, None
 
 
+def _split_fast_line(line: str) -> tuple[str | None, ...] | None:
+    """The 15 text fields of a fast-alert line, or None if it is not one.
+
+    Month, day, hour, minute, second, microsecond, gid, sid, rev, message,
+    category, priority, protocol, source, destination; category and
+    priority are None when their block is absent. Each step is linear in
+    the line length. The last four whitespace-separated tokens are
+    ``{PROTO} SRC -> DST``. The optional classification and priority blocks
+    hold one ``]`` each, so the ``[**]`` that ends the message closes at one
+    of the last three ``]`` before the protocol. As with a lazy message
+    pattern, the earliest ``[**]`` that fits wins, the message holds no
+    newline, and an empty message is tried last.
+    """
+    head = _FAST_HEAD_RE.match(line)
+    if head is None:
+        return None
+    parts = line[head.end():].rsplit(None, 4)
+    if len(parts) != 5:
+        return None
+    body, proto, src, arrow, dst = parts
+    if arrow != "->" or len(proto) < 3 or proto[0] != "{" or proto[-1] != "}":
+        return None
+    start = len(body) - len(body.lstrip())
+    if start == 0:
+        return None
+
+    markers = []
+    close = len(body)
+    while len(markers) < 3 and (close := body.rfind("]", 0, close)) >= 0:
+        markers.append(close - 3)
+    for marker in reversed(markers):
+        msg = body[start:marker].rstrip()
+        if msg and len(msg) < marker - start and "\n" not in msg and body.startswith("[**]", marker):
+            blocks = _FAST_BLOCKS_RE.fullmatch(body, marker + 4)
+            if blocks is not None:
+                break
+    else:
+        msg = ""
+        if start < 2 or not body.startswith("[**]", start):
+            return None
+        blocks = _FAST_BLOCKS_RE.fullmatch(body, start + 4)
+        if blocks is None:
+            return None
+    category, priority = blocks.groups()
+    return (*head.groups(), msg, category and category.strip(), priority, proto[1:-1], src, dst)
+
+
 def parse_snort_fast_line(
     line: str, assumed_year: int, *, ref: RawRef = _DEFAULT_REF
 ) -> NormalizedAlert:
@@ -305,8 +349,8 @@ def parse_snort_fast_line(
     taken as UTC. Raises AlertParseError when the line does not match the
     fast shape or carries invalid values.
     """
-    match = _FAST_LINE_RE.match(line.rstrip("\r\n"))
-    if match is None:
+    fields = _split_fast_line(line)
+    if fields is None:
         raise AlertParseError("line does not match the fast-alert shape", ref)
     (
         month,
@@ -324,7 +368,7 @@ def parse_snort_fast_line(
         proto,
         src_text,
         dst_text,
-    ) = match.groups()
+    ) = fields
 
     try:
         timestamp = datetime(
@@ -415,11 +459,12 @@ def _line_iter(source: Any) -> tuple[Iterator[str], str]:
         path = Path(source)
         fh = open(path, "r", encoding="utf-8", errors="replace")
         return fh, path.name
+    name = "<stream>"
     if isinstance(source, (bytes, bytearray)):
-        return iter(source.decode("utf-8", errors="replace").splitlines()), "<bytes>"
+        source, name = io.BytesIO(source), "<bytes>"
     if isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
         wrapped = io.TextIOWrapper(source, encoding="utf-8", errors="replace")
-        return wrapped, getattr(source, "name", "<stream>") or "<stream>"
+        return wrapped, getattr(source, "name", name) or name
     if hasattr(source, "read"):
         return iter(source), getattr(source, "name", "<stream>") or "<stream>"
     return iter(source), "<stream>"

@@ -332,6 +332,10 @@ def sequence_similarity(
     scores 0; when neither side yields any n-gram the score is 1 exactly
     when the flattened lists are identical.
     """
+    if method == "ngram_jaccard":
+        _check_n(n)
+    elif method != "lcs_ratio":
+        raise ValueError(f"unknown method {method!r}; expected 'lcs_ratio' or 'ngram_jaccard'")
     flat_x = x.flattened_collapsed
     flat_y = y.flattened_collapsed
     if not flat_x and not flat_y:
@@ -341,14 +345,12 @@ def sequence_similarity(
 
     if method == "lcs_ratio":
         return _lcs_length(x, y) / max(len(flat_x), len(flat_y))
-    if method == "ngram_jaccard":
-        grams_x = x.gram_union(n)
-        grams_y = y.gram_union(n)
-        union = grams_x | grams_y
-        if not union:
-            return 1.0 if flat_x == flat_y else 0.0
-        return len(grams_x & grams_y) / len(union)
-    raise ValueError(f"unknown method {method!r}; expected 'lcs_ratio' or 'ngram_jaccard'")
+    grams_x = x.gram_union(n)
+    grams_y = y.gram_union(n)
+    union = grams_x | grams_y
+    if not union:
+        return 1.0 if flat_x == flat_y else 0.0
+    return len(grams_x & grams_y) / len(union)
 
 
 def sequence_to_document(seq: AisSequence) -> dict:

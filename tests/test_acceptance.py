@@ -358,7 +358,6 @@ def _step_pair(offset: float, micro: str, src: str):
         macro=taxonomy.macro_of(micro),
         matched_rule="r",
         confidence=0.9,
-        alert_ref=alert.raw_ref,
     )
 
 

@@ -79,7 +79,6 @@ def test_single_category_rule_assigns_micro_and_macro():
     assert verdict.macro == "privilege_escalation"
     assert verdict.matched_rule == "r-admin"
     assert verdict.confidence == 0.7
-    assert verdict.alert_ref == alert.raw_ref
 
 
 def test_unmatched_alert_gets_sentinel_with_default_confidence():
@@ -140,6 +139,38 @@ def test_explicit_sentinel_target_carries_no_rule_id():
     assert verdict.micro == "unclassified"
     assert verdict.matched_rule is None
     assert verdict.confidence == 0.9
+
+
+def test_alerts_hitting_one_rule_share_its_verdict():
+    doc = make_doc(
+        [
+            rule("r-admin", {"category_equals": "Admin"}, "root_privilege_escalation"),
+            rule("r-noise", {"category_equals": "Noise"}, "unclassified", confidence=0.9),
+        ],
+        default_confidence=0.3,
+    )
+    spec = load_mapping(doc, TAX)
+    for category, expected in [
+        ("Admin", Classification("root_privilege_escalation", "privilege_escalation", "r-admin", 0.3)),
+        ("Noise", Classification("unclassified", "unclassified", None, 0.9)),
+    ]:
+        first, second = (
+            classify_alert(make_alert(category=category, raw_ref=RawRef("test", i)), spec, TAX)
+            for i in (1, 2)
+        )
+        assert first is second
+        assert first == expected
+    assert classify_alert(make_alert(category="Noise"), spec, TAX) is not spec.unclassified
+
+
+def test_unmatched_alerts_share_one_sentinel_verdict():
+    spec = load_mapping(make_doc(ADMIN_DOC["rules"], default_confidence=0.25), TAX)
+    verdicts = [
+        classify_alert(make_alert(category=category, raw_ref=RawRef("test", i)), spec, TAX)
+        for i, category in enumerate(["nope", None, "Misc activity"])
+    ]
+    assert all(verdict is spec.unclassified for verdict in verdicts)
+    assert spec.unclassified == Classification("unclassified", "unclassified", None, 0.25)
 
 
 def test_rule_without_confidence_inherits_default():

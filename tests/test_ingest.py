@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import re
+import time
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aifseq.ingest import (
     AlertParseError,
@@ -18,6 +22,7 @@ from aifseq.ingest import (
     read_alert_stream,
     render_eve_record,
     render_snort_fast_line,
+    _split_fast_line,
 )
 
 
@@ -244,6 +249,93 @@ def test_fast_tcp_endpoint_without_port_rejected():
         parse_snort_fast_line(line, assumed_year=2019)
 
 
+# The single regex the fast parser used to be; it backtracks in cubic time on
+# whitespace runs, so it serves only as the oracle on short lines.
+ORACLE_FAST_LINE_RE = re.compile(
+    r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})\s+"
+    r"\[\*\*\]\s+"
+    r"\[(\d+):(\d+):(\d+)\]\s+"
+    r"(.*?)\s+\[\*\*\]\s+"
+    r"(?:\[Classification:\s*([^\]]*?)\s*\]\s+)?"
+    r"(?:\[Priority:\s*(\d+)\]\s+)?"
+    r"\{(\S+)\}\s+"
+    r"(\S+)\s+->\s+(\S+)\s*$"
+)
+
+FAST_SLOTS = (
+    "05/01-08:00:00.000001", "  ", "[**]", " ", "[1:2100498:7]", " ", "id check", " ", "[**]",
+    " [Classification: Misc activity]", " [Priority: 2]", " ", "{TCP}", " ", "10.0.0.5:1",
+    " ", "->", " ", "10.0.0.6:2", "",
+)
+FAST_JUNK = (
+    "[**]", "[**", "**]", "[", "]", "]]", "[Classification:", "[Priority:", "[Priority: 3]",
+    "{TCP}", "{", "}", "{}", "->", "-", "x", "a b", "7", "10.0.0.5:1",
+    " ", "  ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", " ", "　",
+)
+
+
+@st.composite
+def fast_like_lines(draw):
+    # A well-formed line with a few hostile pieces (brackets, markers, every
+    # kind of whitespace) put after some of its slots or in their place.
+    junk = st.lists(st.sampled_from(FAST_JUNK), min_size=1, max_size=3).map("".join)
+    edits = draw(
+        st.dictionaries(st.integers(0, len(FAST_SLOTS) - 1), st.tuples(st.booleans(), junk), max_size=3)
+    )
+    out = []
+    for i, slot in enumerate(FAST_SLOTS):
+        keep, extra = edits.get(i, (True, ""))
+        out.append((slot if keep else "") + extra)
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=fast_like_lines())
+@example(line="05/01-08:00:00.000001 [**] [1:2:3]  [**]  [Classification: [**] {T} a -> b")
+@example(line=FAST_LINE)
+@example(line="05/01-08:00:00.000001 [**] [1:2:3]    [**] [Priority: 1] {ICMP} a -> b \r\n")
+@example(line="05/01-08:00:00.000001 [**] [1:2:3] a\nb [**] {T} a -> b")
+@example(line="05/01-08:00:00.000001 [**] [1:2:3] [**] [**] [**] {T} a -> b")
+@example(line="05/01-08:00:00.000001 [**] [1:2:3] [**] {T} a -> b")
+def test_fast_split_matches_the_regex_oracle(line):
+    match = ORACLE_FAST_LINE_RE.match(line.rstrip("\r\n"))
+    assert _split_fast_line(line) == (None if match is None else match.groups())
+
+
+FAST_HEAD = "05/01-08:00:00.000001  [**] [1:2100498:7]"
+FAST_TAIL = " {TCP} 10.0.0.5:1 -> 10.0.0.6:2"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        FAST_HEAD + " " * 65536 + "x",
+        FAST_HEAD + " " * 65536 + "[**]" + FAST_TAIL,
+        FAST_HEAD + " probe [**] [Classification:" + " " * 65536,
+        FAST_HEAD + " probe [**] [Classification:" + " " * 65536 + FAST_TAIL,
+        FAST_HEAD + " " + "[**] " * 13107 + FAST_TAIL,
+        FAST_HEAD + " " + "] " * 32768 + FAST_TAIL,
+    ],
+    ids=[
+        "whitespace_message",
+        "whitespace_message_with_tail",
+        "open_classification_block",
+        "open_classification_block_with_tail",
+        "many_markers",
+        "many_brackets",
+    ],
+)
+def test_fast_hostile_line_parses_in_linear_time(line):
+    # The regex parser took 7.6 s on 2,000 spaces of message and about 1 s on
+    # "[Classification:" and 1,000 spaces; 64 KB lines must take milliseconds.
+    start = time.perf_counter()
+    try:
+        parse_snort_fast_line(line, assumed_year=2019)
+    except AlertParseError:
+        pass
+    assert time.perf_counter() - start < 0.05
+
+
 def test_cross_format_equivalence():
     eve = parse_eve_record(eve_line())
     fast = parse_snort_fast_line(FAST_LINE, assumed_year=2019)
@@ -364,6 +456,23 @@ def test_stream_from_path(tmp_path):
     assert len(out) == 2
     assert out[0].raw_ref == RawRef("feed.eve.json", 1)
     assert out[1].raw_ref.index == 2
+
+
+def test_stream_bytes_split_lines_like_a_file(tmp_path):
+    # U+0085 and U+2028 end a line for str.splitlines but not for a file.
+    odd = eve_line().replace("id check", "id\u0085check\u2028x")
+    data = (odd + "\n" + eve_line() + "\n").encode("utf-8")
+    path = tmp_path / "feed.eve.json"
+    path.write_bytes(data)
+    results = {}
+    for name, source in [("path", path), ("stream", io.BytesIO(data)), ("bytes", data)]:
+        alerts, stats = read_alert_stream(source, fmt="eve")
+        results[name] = [(a.signature_msg, a.raw_ref.index) for a in alerts], stats.to_dict()
+    assert results["bytes"] == results["path"] == results["stream"]
+    assert results["bytes"][0][0] == ("GPL ATTACK_RESPONSE id\u0085check\u2028x returned root", 1)
+    alerts, _ = read_alert_stream(data, fmt="eve")
+    assert next(alerts).raw_ref == RawRef("<bytes>", 1)
+    alerts.close()
 
 
 def test_stream_from_text_handle():

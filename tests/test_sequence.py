@@ -61,7 +61,6 @@ def pair(seconds, micro="host_discovery", src="10.0.0.5", dst="192.168.1.20"):
         macro=TAX.macro_of(micro),
         matched_rule=None if micro == "unclassified" else "r",
         confidence=0.9,
-        alert_ref=alert.raw_ref,
     )
     return alert, verdict
 
@@ -361,6 +360,17 @@ def test_similarity_unknown_method():
     seq = seq_of([A])
     with pytest.raises(ValueError, match="unknown method"):
         sequence_similarity(seq, seq, "cosine")
+
+
+@pytest.mark.parametrize(
+    "method, n, message",
+    [("cosine", 2, "unknown method"), ("ngram_jaccard", -3, "n must be"), ("ngram_jaccard", True, "n must be")],
+)
+def test_similarity_checks_arguments_before_the_empty_shortcut(method, n, message):
+    empty = seq_of()
+    for x, y in [(empty, empty), (empty, seq_of([A]))]:
+        with pytest.raises(ValueError, match=message):
+            sequence_similarity(x, y, method, n=n)
 
 
 def test_similarity_symmetric_random():
