@@ -24,7 +24,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Any, Iterable, Iterator
 
-from aifseq.ingest import NormalizedAlert
+from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert
 from aifseq.taxonomy import SENTINEL_KEY, Taxonomy
 
 _PREDICATE_KEYS = (
@@ -35,6 +35,9 @@ _PREDICATE_KEYS = (
     "gid_equals",
     "severity_at_most",
 )
+
+# Distinct verdict keys one stream's memo holds before it starts over.
+_VERDICT_MEMO_SIZE = 4096
 
 
 class MappingError(ValueError):
@@ -303,6 +306,7 @@ def classify_alert(alert: NormalizedAlert, spec: MappingSpec, taxonomy: Taxonomy
     against ``taxonomy`` when ``spec`` was loaded from it. Total: an alert
     no rule matches gets ``spec.unclassified``, the sentinel with the
     mapping's default confidence. A sentinel verdict never carries a rule id.
+    Scans the rules on every call; ``classify_stream`` memoizes per stream.
     """
     msg_lower = alert.signature_msg.lower()
     for rule in spec.ordered_rules:
@@ -314,9 +318,28 @@ def classify_alert(alert: NormalizedAlert, spec: MappingSpec, taxonomy: Taxonomy
 def classify_stream(
     alerts: Iterable[NormalizedAlert], spec: MappingSpec, taxonomy: Taxonomy
 ) -> Iterator[tuple[NormalizedAlert, Classification]]:
-    """Order-preserving classification of an alert stream; one verdict each."""
+    """Order-preserving classification of an alert stream; one verdict each.
+
+    A verdict depends only on the fields rules read: category, message,
+    signature id, generator id and severity. Each stream therefore scans
+    the rules once per distinct combination of them and reuses the verdict
+    for repeats. The memo is emptied when it holds a fixed number of keys,
+    and an alert whose message and category together exceed
+    ``MEMO_TEXT_LIMIT`` characters is classified without it.
+    """
+    verdicts: dict[tuple, Classification] = {}
     for alert in alerts:
-        yield alert, classify_alert(alert, spec, taxonomy)
+        msg, category = alert.signature_msg, alert.category
+        if len(msg) + len(category or "") > MEMO_TEXT_LIMIT:
+            yield alert, classify_alert(alert, spec, taxonomy)
+            continue
+        key = (category, msg, alert.signature_id, alert.generator_id, alert.severity)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            if len(verdicts) >= _VERDICT_MEMO_SIZE:
+                verdicts.clear()
+            verdict = verdicts[key] = classify_alert(alert, spec, taxonomy)
+        yield alert, verdict
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,10 @@ from aifseq.ingest import (
     read_alert_stream,
 )
 from aifseq.sequence import (
+    STEP_COLUMNS,
     OutOfOrderError,
     build_sequences,
+    episode_step_rows,
     sequence_similarity,
     sequence_to_document,
     transition_matrix,
@@ -325,25 +327,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _sequence_csv_rows(sequences):
-    yield [
-        "key", "episode", "start", "end", "step", "ts", "micro", "macro", "run_length", "alert_ref"
-    ]
+    yield ["key", "episode", "start", "end", "step", *STEP_COLUMNS]
     for seq in sequences:
-        doc = sequence_to_document(seq)
-        for ep_index, episode in enumerate(doc["episodes"]):
-            for step_index, step in enumerate(episode["steps"]):
-                yield [
-                    doc["key"],
-                    ep_index,
-                    episode["start"],
-                    episode["end"],
-                    step_index,
-                    step["ts"],
-                    step["micro"],
-                    step["macro"],
-                    step["run_length"],
-                    step["alert_ref"],
-                ]
+        key = seq.key.label()
+        for ep_index, episode in enumerate(seq.episodes):
+            start, end = episode.start.isoformat(), episode.end.isoformat()
+            for step_index, row in enumerate(episode_step_rows(episode)):
+                yield (key, ep_index, start, end, step_index, *row)
 
 
 def _similarity_rows(sequences, method: str, n: int):

@@ -21,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache, wraps
 from ipaddress import ip_address
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -43,6 +44,36 @@ _FAST_BLOCKS_RE = re.compile(r"(?:\s+\[Classification:([^\]]*)\])?(?:\s+\[Priori
 _COMPACT_OFFSET_RE = re.compile(r"([+-]\d{2})(\d{2})$")
 
 _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year field)"
+
+# An IDS stream repeats a few addresses and signatures many times, so the
+# pure per-value work (address checks, fast signature blocks, the strings
+# alerts keep) runs once per distinct value and the alerts share its result.
+# Each memo holds a fixed number of entries; a text longer than this limit
+# bypasses it, so a full memo holds at most its size times this many
+# characters of keys.
+MEMO_TEXT_LIMIT = 512
+
+
+def _text_memo(maxsize: int):
+    """Memoize a pure function of one text in a bounded LRU cache.
+
+    Non-``str`` values (unhashable JSON lists and dicts among them) and
+    texts longer than ``MEMO_TEXT_LIMIT`` go to the function uncached.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def memo(text):
+            if isinstance(text, str) and len(text) <= MEMO_TEXT_LIMIT:
+                return cached(text)
+            return fn(text)
+
+        memo.cache_info = cached.cache_info
+        return memo
+
+    return decorate
 
 
 class AlertParseError(ValueError):
@@ -166,9 +197,14 @@ def _parse_timestamp(text: Any, ref: RawRef) -> datetime:
         raise AlertParseError(f"timestamp {text!r} is out of range in UTC", ref) from None
 
 
-def _valid_ip(text: Any) -> bool:
+@_text_memo(8192)
+def _valid_ip(text: Any) -> str | None:
+    """``text`` if it is an IP address, else None.
+
+    Memoized, so every alert from one address holds the first-seen copy of it.
+    """
     if not isinstance(text, str) or not text:
-        return False
+        return None
     # Fast path for plain IPv4; ipaddress handles IPv6 and the oddities.
     parts = text.split(".")
     if len(parts) == 4:
@@ -176,12 +212,18 @@ def _valid_ip(text: Any) -> bool:
             if not p.isdigit() or len(p) > 3 or int(p) > 255 or (p[0] == "0" and len(p) > 1):
                 break
         else:
-            return True
+            return text
     try:
         ip_address(text)
     except ValueError:
-        return False
-    return True
+        return None
+    return text
+
+
+@_text_memo(4096)
+def _shared(text: str) -> str:
+    """The first-seen copy of ``text``, so alerts repeating it share one string."""
+    return text
 
 
 def _check_port(value: Any, what: str, ref: RawRef) -> int:
@@ -220,16 +262,17 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError("alert.signature_id / alert.signature missing", ref)
 
     timestamp = _parse_timestamp(record["timestamp"], ref)
-    src_ip, dst_ip = record["src_ip"], record["dest_ip"]
-    if not _valid_ip(src_ip):
-        raise AlertParseError(f"invalid src_ip {src_ip!r}", ref)
-    if not _valid_ip(dst_ip):
-        raise AlertParseError(f"invalid dest_ip {dst_ip!r}", ref)
+    src_ip = _valid_ip(record["src_ip"])
+    if src_ip is None:
+        raise AlertParseError(f"invalid src_ip {record['src_ip']!r}", ref)
+    dst_ip = _valid_ip(record["dest_ip"])
+    if dst_ip is None:
+        raise AlertParseError(f"invalid dest_ip {record['dest_ip']!r}", ref)
 
     proto = record["proto"]
     if not isinstance(proto, str) or not proto:
         raise AlertParseError(f"invalid proto {proto!r}", ref)
-    protocol = proto.upper()
+    protocol = _shared(proto.upper())
 
     if protocol in _PORTFUL_PROTOCOLS:
         src_port = _check_port(record.get("src_port"), "src_port", ref)
@@ -252,8 +295,7 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
     category = alert.get("category")
     if category is not None and not isinstance(category, str):
         raise AlertParseError(f"invalid alert.category {category!r}", ref)
-    if category == "":
-        category = None
+    category = _shared(category) if category else None
 
     severity = alert.get("severity")
     if severity is not None and (
@@ -271,7 +313,7 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         generator_id=gid,
         signature_id=sid,
         revision=rev,
-        signature_msg=msg,
+        signature_msg=_shared(msg),
         category=category,
         severity=severity,
         source_format=EVE_FORMAT,
@@ -285,12 +327,14 @@ def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | N
         if not sep or not port_text.isdigit():
             raise AlertParseError(f"{protocol} endpoint {text!r} has no port", ref)
         port = int(port_text)
-        if port > 65535 or not _valid_ip(addr):
+        addr = _valid_ip(addr) if port <= 65535 else None
+        if addr is None:
             raise AlertParseError(f"invalid endpoint {text!r}", ref)
         return addr, port
-    if not _valid_ip(text):
+    addr = _valid_ip(text)
+    if addr is None:
         raise AlertParseError(f"invalid endpoint {text!r}", ref)
-    return text, None
+    return addr, None
 
 
 def _split_fast_line(line: str) -> tuple[str | None, ...] | None:
@@ -300,11 +344,7 @@ def _split_fast_line(line: str) -> tuple[str | None, ...] | None:
     category, priority, protocol, source, destination; category and
     priority are None when their block is absent. Each step is linear in
     the line length. The last four whitespace-separated tokens are
-    ``{PROTO} SRC -> DST``. The optional classification and priority blocks
-    hold one ``]`` each, so the ``[**]`` that ends the message closes at one
-    of the last three ``]`` before the protocol. As with a lazy message
-    pattern, the earliest ``[**]`` that fits wins, the message holds no
-    newline, and an empty message is tried last.
+    ``{PROTO} SRC -> DST``; what precedes them goes to ``_split_fast_body``.
     """
     head = _FAST_HEAD_RE.match(line)
     if head is None:
@@ -315,6 +355,24 @@ def _split_fast_line(line: str) -> tuple[str | None, ...] | None:
     body, proto, src, arrow, dst = parts
     if arrow != "->" or len(proto) < 3 or proto[0] != "{" or proto[-1] != "}":
         return None
+    blocks = _split_fast_body(body)
+    if blocks is None:
+        return None
+    return (*head.groups(), *blocks, proto[1:-1], src, dst)
+
+
+@_text_memo(4096)
+def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
+    """Message, category and priority of ``MSG [**] [Classification…] [Priority…]``.
+
+    ``body`` is the part of a fast line between the ``[gid:sid:rev]`` block
+    and the protocol, leading whitespace included; None if it does not
+    parse. The optional classification and priority blocks hold one ``]``
+    each, so the ``[**]`` that ends the message closes at one of the last
+    three ``]``. As with a lazy message pattern, the earliest ``[**]`` that
+    fits wins, the message holds no newline, and an empty message is tried
+    last.
+    """
     start = len(body) - len(body.lstrip())
     if start == 0:
         return None
@@ -337,7 +395,7 @@ def _split_fast_line(line: str) -> tuple[str | None, ...] | None:
         if blocks is None:
             return None
     category, priority = blocks.groups()
-    return (*head.groups(), msg, category and category.strip(), priority, proto[1:-1], src, dst)
+    return msg, category and category.strip(), priority
 
 
 def parse_snort_fast_line(
@@ -384,7 +442,7 @@ def parse_snort_fast_line(
     except ValueError as exc:
         raise AlertParseError(f"invalid timestamp: {exc}", ref) from None
 
-    protocol = proto.upper()
+    protocol = _shared(proto.upper())
     src_ip, src_port = _split_endpoint(src_text, protocol, ref)
     dst_ip, dst_port = _split_endpoint(dst_text, protocol, ref)
 
@@ -454,20 +512,34 @@ def render_snort_fast_line(alert: NormalizedAlert) -> str:
 
 
 def _line_iter(source: Any) -> tuple[Iterator[str], str]:
-    """Lines plus a display name for any supported source kind."""
+    """Lines plus a display name for any supported source kind.
+
+    Closing the lines releases only what this function opened: the file a
+    path names, or the reader it builds over ``bytes``. A stream or iterable
+    the caller passed in stays open.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
         fh = open(path, "r", encoding="utf-8", errors="replace")
         return fh, path.name
-    name = "<stream>"
     if isinstance(source, (bytes, bytearray)):
-        source, name = io.BytesIO(source), "<bytes>"
-    if isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        wrapped = io.TextIOWrapper(source, encoding="utf-8", errors="replace")
-        return wrapped, getattr(source, "name", name) or name
-    if hasattr(source, "read"):
-        return iter(source), getattr(source, "name", "<stream>") or "<stream>"
-    return iter(source), "<stream>"
+        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors="replace"), "<bytes>"
+    name = (hasattr(source, "read") and getattr(source, "name", None)) or "<stream>"
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        return _decoded_lines(source), name
+    return (line for line in source), name
+
+
+def _decoded_lines(stream: IO[bytes]) -> Iterator[str]:
+    """Lines of a caller's binary stream; the stream stays open afterwards."""
+    text = io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
+    try:
+        yield from text
+    finally:
+        # Closing the wrapper would close the caller's stream; a stream the
+        # caller closed already cannot be detached, and needs nothing.
+        if not stream.closed:
+            text.detach()
 
 
 def read_alert_stream(
@@ -483,7 +555,10 @@ def read_alert_stream(
     Malformed records are counted and sampled, never fatal; blank lines are
     not records. ``fmt`` is ``"eve"``, ``"snort_fast"``, or ``"auto"``
     (first non-empty line starting with ``{`` means EVE). The fast format
-    requires ``assumed_year``.
+    requires ``assumed_year``. A path is opened at once and closed when the
+    iterator is exhausted or closed; a file object or iterable passed in is
+    never closed, and a binary stream is read through a text wrapper that
+    is detached from it afterwards.
     """
     if fmt not in (EVE_FORMAT, SNORT_FAST_FORMAT, "auto"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -520,7 +595,6 @@ def read_alert_stream(
                 stats.alerts_emitted += 1
                 yield alert
         finally:
-            if hasattr(lines, "close"):
-                lines.close()
+            lines.close()
 
     return generate(), stats

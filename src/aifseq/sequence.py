@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from aifseq.classify import Classification
 from aifseq.ingest import NormalizedAlert, RawRef
@@ -353,27 +353,25 @@ def sequence_similarity(
     return len(grams_x & grams_y) / len(union)
 
 
+STEP_COLUMNS = ("ts", "micro", "macro", "run_length", "alert_ref")
+
+
+def episode_step_rows(episode: Episode) -> Iterator[tuple[str, str, str, int, str]]:
+    """Each collapsed step of an episode as exported, in ``STEP_COLUMNS`` order."""
+    for step, run in episode.collapsed_runs:
+        yield step.ts.isoformat(), step.micro, step.macro, run, str(step.alert_ref)
+
+
 def sequence_to_document(seq: AisSequence) -> dict:
     """Export one sequence with run-length-collapsed steps."""
-    episodes = []
-    for episode in seq.episodes:
-        steps = [
-            {
-                "ts": step.ts.isoformat(),
-                "micro": step.micro,
-                "macro": step.macro,
-                "run_length": run,
-                "alert_ref": str(step.alert_ref),
-            }
-            for step, run in episode.collapsed_runs
-        ]
-        episodes.append(
-            {
-                "start": episode.start.isoformat(),
-                "end": episode.end.isoformat(),
-                "steps": steps,
-            }
-        )
+    episodes = [
+        {
+            "start": episode.start.isoformat(),
+            "end": episode.end.isoformat(),
+            "steps": [dict(zip(STEP_COLUMNS, row)) for row in episode_step_rows(episode)],
+        }
+        for episode in seq.episodes
+    ]
     return {
         "key": seq.key.label(),
         "key_fields": list(seq.key.key_fields),

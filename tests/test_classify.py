@@ -7,6 +7,8 @@ import re
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aifseq.classify import (
     Classification,
@@ -329,6 +331,66 @@ def test_classify_stream_is_order_preserving_and_total():
         "root_privilege_escalation",
     ]
     assert list(classify_stream([], spec, TAX)) == []
+
+
+# One rule per predicate kind; a higher priority wins, so changing any one
+# field a rule reads can flip the verdict when the rules above it miss.
+MEMO_SPEC = load_mapping(
+    make_doc(
+        [
+            rule("r-cat", {"category_equals": "Cat A"}, "host_discovery", priority=10),
+            rule("r-tok", {"msg_contains_all": ["probe"]}, "service_discovery", priority=20),
+            rule("r-re", {"msg_regex": "^ET "}, "vulnerability_discovery", priority=30),
+            rule("r-sid", {"sid_in": [[100, 199]]}, "information_discovery", priority=40),
+            rule("r-gid", {"gid_equals": 3}, "surfing", priority=50),
+            rule("r-sev", {"severity_at_most": 1}, "social_engineering", priority=60),
+        ]
+    ),
+    TAX,
+)
+KEY_VALUES = {
+    "category": [None, "Cat A", "Cat B"],
+    "signature_msg": ["ET probe", "ET scan", "et Probe", "other"],
+    "signature_id": [1, 150, 250],
+    "generator_id": [1, 3],
+    "severity": [None, 1, 3],
+}
+OUTSIDE_KEY_VALUES = {
+    "timestamp": [datetime(2021, 3, 1, tzinfo=timezone.utc), datetime(2021, 3, 2, tzinfo=timezone.utc)],
+    "src_ip": ["10.0.0.5", "10.0.0.6"],
+    "src_port": [40000, None],
+    "dst_ip": ["192.168.1.20", "10.9.9.9"],
+    "dst_port": [80, None],
+    "revision": [1, 2],
+}
+# No rule matches NEUTRAL; changing any one keyed field to its value in
+# DECISIVE makes exactly one rule match.
+NEUTRAL = dict(category="Cat B", signature_msg="other", signature_id=1, generator_id=1, severity=3)
+DECISIVE = dict(category="Cat A", signature_msg="ET scan", signature_id=150, generator_id=3, severity=1)
+
+
+@st.composite
+def verdict_key_streams(draw):
+    """Alerts in pairs that differ in one keyed field, each with a twin that differs only outside the key."""
+    alerts = []
+    for _ in range(draw(st.integers(1, 6))):
+        base = {name: draw(st.sampled_from(values)) for name, values in KEY_VALUES.items()}
+        name = draw(st.sampled_from(sorted(KEY_VALUES)))
+        other = draw(st.sampled_from([v for v in KEY_VALUES[name] if v != base[name]]))
+        outside = {name: draw(st.sampled_from(values)) for name, values in OUTSIDE_KEY_VALUES.items()}
+        alerts += [make_alert(**base), make_alert(**{**base, name: other}), make_alert(**base, **outside)]
+    return alerts
+
+
+@settings(max_examples=200, deadline=None)
+@given(alerts=verdict_key_streams())
+@example(alerts=[make_alert(**{**NEUTRAL, name: DECISIVE[name]}) for name in NEUTRAL] + [make_alert(**NEUTRAL)])
+@example(alerts=[make_alert(**NEUTRAL)] + [make_alert(**{**NEUTRAL, name: DECISIVE[name]}) for name in NEUTRAL])
+def test_stream_memo_returns_the_oracle_verdict(alerts):
+    # classify_stream reuses a verdict for alerts that agree on every field
+    # a rule reads; classify_alert scans the rules every time.
+    for alert, verdict in classify_stream(alerts, MEMO_SPEC, TAX):
+        assert verdict is classify_alert(alert, MEMO_SPEC, TAX)
 
 
 def test_coverage_report_counts():

@@ -22,6 +22,9 @@ GOLDEN = REPO / "tests" / "data" / "golden_scenario.eve.json"
 sys.path.insert(0, str(REPO / "perfbench"))
 import corpus  # noqa: E402
 import spans  # noqa: E402
+from run import WORKLOADS  # noqa: E402
+
+FAST_SEQUENCE = WORKLOADS["fast_sequence"]
 
 
 def run(capsys, *argv):
@@ -565,3 +568,25 @@ def test_traced_run_makes_one_similarity_call_per_pair(tmp_path, similarity_corp
     attackers = summary["counters"]["attackers"]
     assert attackers == SIMILARITY_CORPUS.attackers
     assert summary["calls"]["sequence.similarity"] == attackers * (attackers - 1) // 2
+
+
+@pytest.fixture(scope="module")
+def fast_sequence_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fast_sequence_corpus")
+    path = root / FAST_SEQUENCE.input_name
+    corpus.generate(FAST_SEQUENCE.corpus, 1, path, root / "truth.json")
+    return path
+
+
+def test_fast_sequence_bytes_match_the_benchmark_digests(capsys, tmp_path, fast_sequence_corpus):
+    # The benchmark's fast_sequence run at seed 1 (36,364 fast lines through
+    # the fast parser, sequencing, transitions and the CSV export), checked
+    # against the digests the benchmark itself records.
+    code, _, _ = run(
+        capsys, *FAST_SEQUENCE.args, "--input", str(fast_sequence_corpus), "--out", str(tmp_path)
+    )
+    assert code == 0
+    recorded = json.loads((REPO / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    for name in FAST_SEQUENCE.outputs:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == recorded["fast_sequence"][name], name

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aifseq import classify, ingest
+from aifseq.classify import classify_alert, classify_stream, load_mapping, starter_mapping_document
 from aifseq.ingest import (
+    MEMO_TEXT_LIMIT,
     AlertParseError,
     FormatDetectionError,
     NormalizedAlert,
@@ -24,6 +27,7 @@ from aifseq.ingest import (
     render_snort_fast_line,
     _split_fast_line,
 )
+from aifseq.taxonomy import builtin_taxonomy
 
 
 def eve_line(**overrides) -> str:
@@ -482,6 +486,43 @@ def test_stream_from_text_handle():
     assert out[0].raw_ref == RawRef("stdin", 1)
 
 
+@pytest.mark.parametrize("kind", ["text", "binary"])
+def test_stream_leaves_a_callers_handle_open(kind):
+    data = eve_line() + "\n" + eve_line(src_ip="10.0.0.6") + "\n"
+    handle = io.StringIO(data) if kind == "text" else io.BytesIO(data.encode("utf-8"))
+    for _ in range(2):
+        alerts, _ = read_alert_stream(handle, fmt="eve")
+        assert [a.src_ip for a in alerts] == ["10.0.0.5", "10.0.0.6"]
+        assert not handle.closed
+        handle.seek(0)
+
+
+def test_stream_closed_by_the_caller_mid_read_ends_quietly():
+    handle = io.BytesIO((eve_line() + "\n" + eve_line() + "\n").encode("utf-8"))
+    alerts, _ = read_alert_stream(handle, fmt="eve")
+    next(alerts)
+    handle.close()
+    alerts.close()
+
+
+def test_stream_closes_the_file_it_opened(tmp_path, monkeypatch):
+    path = tmp_path / "feed.eve.json"
+    path.write_text(eve_line() + "\n" + eve_line() + "\n", encoding="utf-8")
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(ingest, "open", spy_open, raising=False)
+    alerts, _ = read_alert_stream(path, fmt="eve")
+    assert len(list(alerts)) == 2
+    alerts, _ = read_alert_stream(path, fmt="eve")
+    next(alerts)
+    alerts.close()
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
 def test_stream_unknown_format_rejected():
     with pytest.raises(ValueError, match="unknown format"):
         read_alert_stream([], fmt="csv")
@@ -494,3 +535,95 @@ def test_stream_stats_fill_during_iteration():
     assert stats.alerts_emitted == 1
     next(alerts)
     assert stats.alerts_emitted == 2
+
+
+MEMOS = (ingest._valid_ip, ingest._split_fast_body, ingest._shared)
+
+
+def uncached(monkeypatch):
+    for memo in MEMOS:
+        monkeypatch.setattr(ingest, memo.__name__, memo.__wrapped__)
+
+
+def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
+    # 5,000 lines with their own source, destination, message and verdict
+    # key: 10,000 addresses, 5,000 bodies and keys, more than each memo
+    # holds; the first 500 lines come again after they were evicted.
+    tax = builtin_taxonomy()
+    spec = load_mapping(starter_mapping_document(), tax)
+    categories = ["Attempted Information Leak", "Misc activity", "Web Application Attack"]
+    lines = [
+        f"05/01-08:00:{i % 60:02d}.000001  [**] [1:{2100000 + i}:1] ET probe {i} [**] "
+        f"[Classification: {categories[i % 3]}] [Priority: {1 + i % 3}] "
+        f"{{TCP}} 10.{i >> 8}.{i & 255}.1:{1024 + i} -> 172.16.{i >> 8}.{i & 255}:80"
+        for i in range(5_000)
+    ]
+    lines += lines[:500]
+    alerts, stats = read_alert_stream(lines, fmt="snort_fast", assumed_year=2019)
+    stream = classify_stream(alerts, spec, tax)
+    cached = []
+    for alert, verdict in stream:
+        assert verdict is classify_alert(alert, spec, tax)
+        assert len(stream.gi_frame.f_locals["verdicts"]) <= classify._VERDICT_MEMO_SIZE
+        cached.append(alert)
+    assert stats.alerts_emitted == len(lines)
+    assert len({a.src_ip for a in cached} | {a.dst_ip for a in cached}) > ingest._valid_ip.cache_info().maxsize
+    assert len({a.signature_msg for a in cached}) > ingest._split_fast_body.cache_info().maxsize
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+
+    uncached(monkeypatch)
+    alerts, _ = read_alert_stream(lines, fmt="snort_fast", assumed_year=2019)
+    assert list(alerts) == cached
+
+
+def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
+    long_msg = "x" * (MEMO_TEXT_LIMIT + 1)
+    scoped = "fe80::1%" + "e" * MEMO_TEXT_LIMIT
+    for memo, text in [
+        (ingest._valid_ip, scoped),
+        (ingest._split_fast_body, f" {long_msg} [**] [Priority: 1]"),
+        (ingest._shared, long_msg),
+    ]:
+        before = memo.cache_info()
+        assert memo(text) == memo.__wrapped__(text) is not None
+        assert memo.cache_info() == before
+    fast = FAST_LINE.replace("GPL ATTACK_RESPONSE id check returned root", long_msg)
+    eve = eve_line(src_ip=scoped, alert={"signature_id": 1, "signature": long_msg})
+    results = [parse_snort_fast_line(fast, assumed_year=2019), parse_eve_record(eve)]
+    assert results[0].signature_msg == results[1].signature_msg == long_msg
+    uncached(monkeypatch)
+    assert results == [parse_snort_fast_line(fast, assumed_year=2019), parse_eve_record(eve)]
+
+
+@pytest.mark.parametrize("fmt", ["eve", "snort_fast"])
+def test_invalid_address_seen_twice_is_malformed_twice(fmt):
+    line = eve_line(src_ip="300.1.1.1") if fmt == "eve" else FAST_LINE.replace("10.0.0.5", "300.1.1.1")
+    alerts, stats = read_alert_stream([line, line], fmt=fmt, assumed_year=2019)
+    assert list(alerts) == []
+    assert stats.malformed == 2
+
+
+@pytest.mark.parametrize("field", ["src_ip", "dest_ip"])
+@pytest.mark.parametrize("value", [[1], {}, ["10.0.0.5"]], ids=["list", "dict", "address_list"])
+def test_unhashable_eve_address_is_malformed(field, value):
+    alerts, stats = read_alert_stream([eve_line(**{field: value}), eve_line()], fmt="eve")
+    assert len(list(alerts)) == 1
+    assert stats.malformed == 1
+    assert f"invalid {field} {value!r}" in stats.first_error_samples[0][1]
+
+
+@pytest.mark.parametrize("fmt", ["eve", "snort_fast"])
+def test_alerts_repeating_a_value_share_one_copy(fmt):
+    # Each record is parsed from its own text, so equal fields start out as
+    # distinct strings; the memos hand every alert the first-seen copy.
+    source = "10.77.0.1"
+    line = eve_line(src_ip=source) if fmt == "eve" else FAST_LINE.replace("10.0.0.5", source)
+    lines = [line, line]
+    first, second = read_alert_stream(lines, fmt=fmt, assumed_year=2019)[0]
+    assert first.src_ip == source and first.src_ip is second.src_ip
+    assert first.dst_ip is second.dst_ip
+    assert first.signature_msg is second.signature_msg
+    assert first.category is second.category
+    assert first.protocol is second.protocol
