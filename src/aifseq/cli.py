@@ -326,23 +326,49 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sequence_csv_rows(sequences):
-    yield ["key", "episode", "start", "end", "step", *STEP_COLUMNS]
-    for seq in sequences:
-        key = seq.key.label()
-        for ep_index, episode in enumerate(seq.episodes):
-            start, end = episode.start.isoformat(), episode.end.isoformat()
-            for step_index, row in enumerate(episode_step_rows(episode)):
-                yield (key, ep_index, start, end, step_index, *row)
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several fields.
+
+    Minimal quoting: a field holding a comma, a double quote, CR or LF is
+    quoted with its quotes doubled, and ``None`` is an empty field.
+    """
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _similarity_rows(sequences, method: str, n: int):
-    yield ["key_a", "key_b", "method", "score"]
-    labels = [seq.key.label() for seq in sequences]
-    for i, left in enumerate(sequences):
-        for right, right_label in zip(sequences[i + 1 :], labels[i + 1 :]):
-            score = sequence_similarity(left, right, method, n=n)
-            yield [labels[i], right_label, method, f"{score:.6f}"]
+def _write_sequences_csv(path: Path, sequences) -> None:
+    """``sequences.csv``: the key and episode columns are formatted once per episode."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["key", "episode", "start", "end", "step", *STEP_COLUMNS]) + "\r\n")
+        for seq in sequences:
+            key = _csv_field(seq.key.label())
+            for ep_index, episode in enumerate(seq.episodes):
+                prefix = (
+                    f"{key},{ep_index},{_csv_field(episode.start.isoformat())},"
+                    f"{_csv_field(episode.end.isoformat())},"
+                )
+                fh.writelines(
+                    f"{prefix}{step},{_csv_field(ts)},{_csv_field(micro)},{_csv_field(macro)},"
+                    f"{run},{_csv_field(ref)}\r\n"
+                    for step, (ts, micro, macro, run, ref) in enumerate(episode_step_rows(episode))
+                )
+
+
+def _write_similarity_csv(path: Path, sequences, method: str, n: int) -> None:
+    """``similarity.csv``: one row per pair, each key label formatted once."""
+    labels = [_csv_field(seq.key.label()) for seq in sequences]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("key_a,key_b,method,score\r\n")
+        for i, left in enumerate(sequences):
+            prefix = f"{labels[i]},"
+            fh.writelines(
+                f"{prefix}{label},{method},{sequence_similarity(left, right, method, n=n):.6f}\r\n"
+                for right, label in zip(sequences[i + 1 :], labels[i + 1 :])
+            )
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
@@ -363,7 +389,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         _write_ndjson(out_dir / "sequences.ndjson", docs)
         outputs.append("sequences.ndjson")
     else:
-        _write_csv(out_dir / "sequences.csv", _sequence_csv_rows(sequences))
+        _write_sequences_csv(out_dir / "sequences.csv", sequences)
         outputs.append("sequences.csv")
 
     if args.transitions:
@@ -378,7 +404,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
     if args.similarity:
         method = "lcs_ratio" if args.similarity == "lcs" else "ngram_jaccard"
-        _write_csv(out_dir / "similarity.csv", _similarity_rows(sequences, method, args.ngram_n))
+        _write_similarity_csv(out_dir / "similarity.csv", sequences, method, args.ngram_n)
         outputs.append("similarity.csv")
 
     config = _base_config(args, taxonomy, spec, mapping_source)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache, wraps
@@ -209,7 +210,7 @@ def _valid_ip(text: Any) -> str | None:
     parts = text.split(".")
     if len(parts) == 4:
         for p in parts:
-            if not p.isdigit() or len(p) > 3 or int(p) > 255 or (p[0] == "0" and len(p) > 1):
+            if not p.isdecimal() or len(p) > 3 or int(p) > 255 or (p[0] == "0" and len(p) > 1):
                 break
         else:
             return text
@@ -246,6 +247,8 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError(f"malformed JSON: {exc.msg}", ref) from None
     except RecursionError:
         raise AlertParseError("malformed JSON: nested too deeply", ref) from None
+    except ValueError as exc:  # an integer literal with more digits than int() converts
+        raise AlertParseError(f"malformed JSON: {exc}", ref) from None
     if not isinstance(record, dict):
         raise AlertParseError("record is not a JSON object", ref)
     if record.get("event_type") != "alert":
@@ -324,9 +327,12 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
 def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | None]:
     if protocol in _PORTFUL_PROTOCOLS:
         addr, sep, port_text = text.rpartition(":")
-        if not sep or not port_text.isdigit():
+        if not sep or not port_text.isdecimal():
             raise AlertParseError(f"{protocol} endpoint {text!r} has no port", ref)
-        port = int(port_text)
+        try:
+            port = int(port_text)
+        except ValueError:  # more digits than int() converts
+            raise AlertParseError(f"invalid endpoint {text!r}", ref) from None
         addr = _valid_ip(addr) if port <= 65535 else None
         if addr is None:
             raise AlertParseError(f"invalid endpoint {text!r}", ref)
@@ -398,6 +404,16 @@ def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
     return msg, category and category.strip(), priority
 
 
+@_text_memo(4096)
+def _signature_ids(block: str) -> tuple[int, int, int]:
+    """``(gid, sid, rev)`` of a fast line's ``gid:sid:rev`` digits.
+
+    Memoized, so every alert of one signature holds the same three ints.
+    """
+    gid, sid, rev = block.split(":")
+    return int(gid), int(sid), int(rev)
+
+
 def parse_snort_fast_line(
     line: str, assumed_year: int, *, ref: RawRef = _DEFAULT_REF
 ) -> NormalizedAlert:
@@ -442,6 +458,12 @@ def parse_snort_fast_line(
     except ValueError as exc:
         raise AlertParseError(f"invalid timestamp: {exc}", ref) from None
 
+    try:
+        gid, sid, rev = _signature_ids(f"{gid}:{sid}:{rev}")
+        severity = int(priority) if priority is not None else None
+    except ValueError as exc:  # more digits than int() converts
+        raise AlertParseError(f"invalid signature id or priority: {exc}", ref) from None
+
     protocol = _shared(proto.upper())
     src_ip, src_port = _split_endpoint(src_text, protocol, ref)
     dst_ip, dst_port = _split_endpoint(dst_text, protocol, ref)
@@ -453,12 +475,12 @@ def parse_snort_fast_line(
         dst_ip=dst_ip,
         dst_port=dst_port,
         protocol=protocol,
-        generator_id=int(gid),
-        signature_id=int(sid),
-        revision=int(rev),
+        generator_id=gid,
+        signature_id=sid,
+        revision=rev,
         signature_msg=msg,
         category=category if category else None,
-        severity=int(priority) if priority is not None else None,
+        severity=severity,
         source_format=SNORT_FAST_FORMAT,
         raw_ref=ref,
     )
@@ -556,9 +578,9 @@ def read_alert_stream(
     not records. ``fmt`` is ``"eve"``, ``"snort_fast"``, or ``"auto"``
     (first non-empty line starting with ``{`` means EVE). The fast format
     requires ``assumed_year``. A path is opened at once and closed when the
-    iterator is exhausted or closed; a file object or iterable passed in is
-    never closed, and a binary stream is read through a text wrapper that
-    is detached from it afterwards.
+    iterator is exhausted, closed or collected unstarted; a file object or
+    iterable passed in is never closed, and a binary stream is read through
+    a text wrapper that is detached from it afterwards.
     """
     if fmt not in (EVE_FORMAT, SNORT_FAST_FORMAT, "auto"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -597,4 +619,8 @@ def read_alert_stream(
         finally:
             lines.close()
 
-    return generate(), stats
+    alerts = generate()
+    # A generator dropped before its first next() never enters its finally
+    # block, so the lines are also closed when the iterator is collected.
+    weakref.finalize(alerts, lines.close)
+    return alerts, stats

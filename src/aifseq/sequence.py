@@ -164,13 +164,15 @@ def build_sequences(
     max_ref = None
     for alert, verdict in classified:
         ts = alert.timestamp
-        if max_ts is not None and (max_ts - ts).total_seconds() > skew_seconds:
+        # An alert at or after the running maximum is never beyond a window
+        # of 0 or more, so only one behind it pays for the subtraction.
+        if max_ts is None or ts > max_ts:
+            max_ts, max_ref = ts, alert.raw_ref
+        elif (max_ts - ts).total_seconds() > skew_seconds:
             raise OutOfOrderError(
                 f"{alert.raw_ref} is {(max_ts - ts).total_seconds():.3f}s behind "
                 f"{max_ref}, beyond the {skew_seconds:.3f}s skew window"
             )
-        if max_ts is None or ts > max_ts:
-            max_ts, max_ref = ts, alert.raw_ref
         if not include_unclassified and verdict.micro == SENTINEL_KEY:
             continue
         value = (alert.src_ip,) if key_config == "src" else (alert.src_ip, alert.dst_ip)

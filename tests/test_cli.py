@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -10,9 +12,13 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from aifseq.cli import main
-from aifseq.classify import starter_mapping_document
+from aifseq.cli import _csv_field, main
+from aifseq.classify import classify_stream, load_mapping, starter_mapping_document
+from aifseq.ingest import read_alert_stream
+from aifseq.sequence import STEP_COLUMNS, build_sequences, episode_step_rows, sequence_similarity
 from aifseq.taxonomy import builtin_taxonomy, load_taxonomy
 
 BASE = datetime(2021, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -590,3 +596,63 @@ def test_fast_sequence_bytes_match_the_benchmark_digests(capsys, tmp_path, fast_
     for name in FAST_SEQUENCE.outputs:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == recorded["fast_sequence"][name], name
+
+
+@given(row=st.lists(
+    st.one_of(st.text(',"\r\n aZ', max_size=8), st.none(), st.integers(), st.floats()),
+    min_size=2,
+    max_size=6,
+))
+@example(row=["", None])
+@example(row=['a,"b"', "\r\n", " ", 1.5])
+def test_csv_field_matches_csv_writer(row):
+    expected = io.StringIO()
+    csv.writer(expected).writerow(row)
+    assert ",".join(map(_csv_field, row)) + "\r\n" == expected.getvalue()
+
+
+def former_sequence_csv_rows(sequences):
+    """The rows the CLI fed to csv.writer before it wrote sequences.csv as text."""
+    yield ["key", "episode", "start", "end", "step", *STEP_COLUMNS]
+    for seq in sequences:
+        key = seq.key.label()
+        for ep_index, episode in enumerate(seq.episodes):
+            start, end = episode.start.isoformat(), episode.end.isoformat()
+            for step_index, row in enumerate(episode_step_rows(episode)):
+                yield (key, ep_index, start, end, step_index, *row)
+
+
+def former_similarity_rows(sequences, method, n):
+    """The rows the CLI fed to csv.writer before it wrote similarity.csv as text."""
+    yield ["key_a", "key_b", "method", "score"]
+    labels = [seq.key.label() for seq in sequences]
+    for i, left in enumerate(sequences):
+        for right, right_label in zip(sequences[i + 1 :], labels[i + 1 :]):
+            score = sequence_similarity(left, right, method, n=n)
+            yield [labels[i], right_label, method, f"{score:.6f}"]
+
+
+@pytest.mark.parametrize("key", ["src", "src-dst"])
+def test_text_writers_match_csv_writer_when_every_ref_needs_quoting(capsys, tmp_path, key):
+    # Every alert_ref starts with the input's file name, so a comma and a
+    # double quote in it make csv.writer quote every alert_ref field.
+    source = tmp_path / 'al,"x".eve.json'
+    source.write_bytes(GOLDEN.read_bytes())
+    out = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "sequence", "--output-format", "csv", "--similarity", "lcs", "--key", key,
+        "--input", str(source), "--out", str(out),
+    )
+    assert code == 0
+    tax = builtin_taxonomy()
+    alerts, _ = read_alert_stream(source)
+    classified = classify_stream(alerts, load_mapping(starter_mapping_document(), tax), tax)
+    sequences = build_sequences(list(classified), key_config=key.replace("-", "_"))
+    for name, rows in [
+        ("sequences.csv", former_sequence_csv_rows(sequences)),
+        ("similarity.csv", former_similarity_rows(sequences, "lcs_ratio", 2)),
+    ]:
+        expected = io.StringIO()
+        csv.writer(expected).writerows(rows)
+        assert (out / name).read_bytes() == expected.getvalue().encode("utf-8"), name
+    assert b',"al,""x"".eve.json:1"\r\n' in (out / "sequences.csv").read_bytes()

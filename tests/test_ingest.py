@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import re
@@ -393,8 +394,13 @@ def test_stream_counts_and_error_isolation():
         eve_line(timestamp=None),
         eve_line(timestamp="9999-12-31T23:59:59-01:00"),
         "[" * 100_000 + "]" * 100_000,
+        eve_line(src_ip="1.2.3.\u00b2"),
+        eve_line().replace('"rev": 7', '"rev": ' + "7" * 5_000),
     ],
-    ids=["int_timestamp", "null_timestamp", "timestamp_overflows_utc", "deep_nesting"],
+    ids=[
+        "int_timestamp", "null_timestamp", "timestamp_overflows_utc", "deep_nesting",
+        "superscript_octet", "int_literal_over_the_int_limit",
+    ],
 )
 def test_stream_counts_hostile_record_and_keeps_going(bad_line):
     alerts, stats = read_alert_stream([bad_line, eve_line()], fmt="eve")
@@ -402,6 +408,43 @@ def test_stream_counts_hostile_record_and_keeps_going(bad_line):
     assert stats.malformed == 1
     assert [alert.raw_ref.index for alert in out] == [2]
     assert stats.reconciles()
+
+
+# Numbers int() rejects although the parser's digit checks let them through:
+# more digits than Python's int-string limit (4,300), or a digit that
+# str.isdigit() accepts and int() does not (a superscript two).
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        FAST_LINE.replace("[1:2100498:7]", f"[{'1' * 5_000}:2100498:7]"),
+        FAST_LINE.replace("[1:2100498:7]", f"[1:{'2' * 5_000}:7]"),
+        FAST_LINE.replace("[1:2100498:7]", f"[1:2100498:{'7' * 5_000}]"),
+        FAST_LINE.replace("[Priority: 2]", f"[Priority: {'2' * 5_000}]"),
+        FAST_LINE.replace(":51823 ", f":{'5' * 5_000} "),
+        FAST_LINE.replace(":80", ":8\u00b2"),
+        FAST_LINE.replace("10.0.0.5", "10.0.0.\u00b2"),
+    ],
+    ids=[
+        "gid_over_the_int_limit", "sid_over_the_int_limit", "rev_over_the_int_limit",
+        "priority_over_the_int_limit", "port_over_the_int_limit", "superscript_port",
+        "superscript_octet",
+    ],
+)
+def test_fast_stream_counts_hostile_record_and_keeps_going(bad_line):
+    alerts, stats = read_alert_stream([bad_line, FAST_LINE], fmt="snort_fast", assumed_year=2019)
+    out = list(alerts)
+    assert stats.malformed == 1
+    assert [alert.raw_ref.index for alert in out] == [2]
+    assert stats.reconciles()
+
+
+def test_fast_arabic_indic_digits_still_parse():
+    # \d and int() both accept every decimal digit, not only ASCII ones.
+    digits = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+    line = FAST_LINE.replace("[1:2100498:7]", "[1:2100498:7]".translate(digits))
+    line = line.replace(":80", ":80".translate(digits))
+    alert = parse_snort_fast_line(line, assumed_year=2019)
+    assert (alert.generator_id, alert.signature_id, alert.revision, alert.dst_port) == (1, 2100498, 7, 80)
 
 
 def test_stream_error_samples_capped():
@@ -523,6 +566,16 @@ def test_stream_closes_the_file_it_opened(tmp_path, monkeypatch):
     assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
+def test_stream_dropped_before_its_first_read_closes_the_file(tmp_path):
+    # A generator that never started never runs its finally block; the
+    # pytest filterwarnings setting turns an unclosed file into an error.
+    path = tmp_path / "feed.eve.json"
+    path.write_text(eve_line() + "\n", encoding="utf-8")
+    alerts, _ = read_alert_stream(path, fmt="eve")
+    del alerts
+    gc.collect()
+
+
 def test_stream_unknown_format_rejected():
     with pytest.raises(ValueError, match="unknown format"):
         read_alert_stream([], fmt="csv")
@@ -537,7 +590,7 @@ def test_stream_stats_fill_during_iteration():
     assert stats.alerts_emitted == 2
 
 
-MEMOS = (ingest._valid_ip, ingest._split_fast_body, ingest._shared)
+MEMOS = (ingest._valid_ip, ingest._split_fast_body, ingest._shared, ingest._signature_ids)
 
 
 def uncached(monkeypatch):
@@ -546,9 +599,10 @@ def uncached(monkeypatch):
 
 
 def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
-    # 5,000 lines with their own source, destination, message and verdict
-    # key: 10,000 addresses, 5,000 bodies and keys, more than each memo
-    # holds; the first 500 lines come again after they were evicted.
+    # 5,000 lines with their own source, destination, message, signature id
+    # and verdict key: 10,000 addresses, 5,000 bodies, ids and keys, more
+    # than each memo holds; the first 500 lines come again after they were
+    # evicted.
     tax = builtin_taxonomy()
     spec = load_mapping(starter_mapping_document(), tax)
     categories = ["Attempted Information Leak", "Misc activity", "Web Application Attack"]
@@ -569,6 +623,7 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
     assert stats.alerts_emitted == len(lines)
     assert len({a.src_ip for a in cached} | {a.dst_ip for a in cached}) > ingest._valid_ip.cache_info().maxsize
     assert len({a.signature_msg for a in cached}) > ingest._split_fast_body.cache_info().maxsize
+    assert len({a.signature_id for a in cached}) > ingest._signature_ids.cache_info().maxsize
     for memo in MEMOS:
         info = memo.cache_info()
         assert 0 < info.currsize <= info.maxsize
@@ -585,11 +640,13 @@ def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
         (ingest._valid_ip, scoped),
         (ingest._split_fast_body, f" {long_msg} [**] [Priority: 1]"),
         (ingest._shared, long_msg),
+        (ingest._signature_ids, f"1:{'2' * MEMO_TEXT_LIMIT}:3"),
     ]:
         before = memo.cache_info()
         assert memo(text) == memo.__wrapped__(text) is not None
         assert memo.cache_info() == before
     fast = FAST_LINE.replace("GPL ATTACK_RESPONSE id check returned root", long_msg)
+    fast = fast.replace("[1:2100498:7]", f"[1:{'2' * MEMO_TEXT_LIMIT}:7]")
     eve = eve_line(src_ip=scoped, alert={"signature_id": 1, "signature": long_msg})
     results = [parse_snort_fast_line(fast, assumed_year=2019), parse_eve_record(eve)]
     assert results[0].signature_msg == results[1].signature_msg == long_msg
@@ -627,3 +684,6 @@ def test_alerts_repeating_a_value_share_one_copy(fmt):
     assert first.signature_msg is second.signature_msg
     assert first.category is second.category
     assert first.protocol is second.protocol
+    if fmt == "snort_fast":
+        # json.loads builds its own ints; the fast parser shares them.
+        assert first.signature_id == 2100498 and first.signature_id is second.signature_id
