@@ -3,7 +3,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/bench_pairs.py --pr 7 --workload fast_sequence \\
+    python3 scripts/bench_pairs.py --pr N --workload fast_sequence \\
         --workload similarity_lcs --seeds 701 702 703 --seconds 55
 
 Each side (``--base``, default ``HEAD~1``, and ``--head``, default
