@@ -3,13 +3,15 @@
 
 Usage, from the repository root::
 
-    python3 scripts/bench_pairs.py --pr N --workload fast_sequence \\
-        --workload similarity_lcs --seeds 701 702 703 --seconds 55
+    python3 scripts/bench_pairs.py --pr N --seeds 701 702 703
 
-Each side (``--base``, default ``HEAD~1``, and ``--head``, default
-``HEAD``) is exported with ``git archive`` into its own temporary
-directory, so both are measured from their committed files and nothing is
-registered in the repository's ``.git``; set ``TMPDIR`` to choose where.
+It measures every workload BENCHMARK.json lists (``--workload`` picks
+some of them) at the run length ``perfbench/run.py`` defaults to, and
+records BENCHMARK.json's ``run_seconds``. Each side (``--base``, default
+``HEAD~1``, and ``--head``, default ``HEAD``) is exported with ``git
+archive`` into its own temporary directory, so both are measured from
+their committed files and nothing is registered in the repository's
+``.git``; set ``TMPDIR`` to choose where.
 For every workload and seed the two sides run ``perfbench/run.py`` one
 after the other, the parent first on even pairs and the change first on
 odd ones, so a slow spell of the machine does not land on one side only.
@@ -55,11 +57,10 @@ def export(commit: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {commit} failed")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its result line and environment."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -116,18 +117,20 @@ def main() -> int:
     parser.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
     parser.add_argument("--base", default="HEAD~1", help="parent commit (default HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="change commit (default HEAD)")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="one of BENCHMARK.json's workloads (default: all of them)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
-    parser.add_argument("--seconds", type=float, default=55.0)
     args = parser.parse_args()
 
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = benchmark["end_to_end"]
+    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     out = ROOT / f"BENCH_{args.pr}.json"
     record = {
         "pr": args.pr,
         "commits": commits,
-        "seconds": args.seconds,
+        "run_seconds": benchmark["run_seconds"],
         "seeds": args.seeds,
         "order": "parent first on even pairs (0-based), change first on odd pairs",
         "environment": {"python": platform.python_version(), "platform": platform.platform()},
@@ -138,11 +141,11 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in commits}
         for side, commit in commits.items():
             export(commit, trees[side])
-        for workload in args.workload:
+        for workload in workloads:
             runs: list[dict] = []
             for index, seed in enumerate(args.seeds):
                 for side in ("base", "head") if index % 2 == 0 else ("head", "base"):
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed)
                     runs.append({"seed": seed, "side": side, **run})
                     ok = ok and run["correct"]
                     print(f"{workload} seed {seed} {side}: correct={run['correct']} "

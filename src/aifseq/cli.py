@@ -13,7 +13,6 @@ taxonomy, 5 input unsorted beyond the skew window.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -259,9 +258,23 @@ def _write_ndjson(path: Path, records) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several fields.
+
+    Minimal quoting: a field holding a comma, a double quote, CR or LF is
+    quoted with its quotes doubled, and ``None`` is an empty field.
+    """
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.writelines(",".join(map(_csv_field, row)) + "\r\n" for row in rows)
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, stats, outputs: list[str]) -> None:
@@ -326,20 +339,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _csv_field(value) -> str:
-    """``value`` as ``csv.writer`` writes it in a row of several fields.
-
-    Minimal quoting: a field holding a comma, a double quote, CR or LF is
-    quoted with its quotes doubled, and ``None`` is an empty field.
-    """
-    if value is None:
-        return ""
-    text = str(value)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_sequences_csv(path: Path, sequences) -> None:
     """``sequences.csv``: the key and episode columns are formatted once per episode."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -347,12 +346,10 @@ def _write_sequences_csv(path: Path, sequences) -> None:
         for seq in sequences:
             key = _csv_field(seq.key.label())
             for ep_index, episode in enumerate(seq.episodes):
-                prefix = (
-                    f"{key},{ep_index},{_csv_field(episode.start.isoformat())},"
-                    f"{_csv_field(episode.end.isoformat())},"
-                )
+                # ISO-8601 times never hold a comma, a quote, CR or LF.
+                prefix = f"{key},{ep_index},{episode.start.isoformat()},{episode.end.isoformat()},"
                 fh.writelines(
-                    f"{prefix}{step},{_csv_field(ts)},{_csv_field(micro)},{_csv_field(macro)},"
+                    f"{prefix}{step},{ts},{_csv_field(micro)},{_csv_field(macro)},"
                     f"{run},{_csv_field(ref)}\r\n"
                     for step, (ts, micro, macro, run, ref) in enumerate(episode_step_rows(episode))
                 )

@@ -15,10 +15,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aifseq.cli import _csv_field, main
+from aifseq.cli import _CLASSIFICATION_COLUMNS, _classification_row, _csv_field, main
 from aifseq.classify import classify_stream, load_mapping, starter_mapping_document
 from aifseq.ingest import read_alert_stream
-from aifseq.sequence import STEP_COLUMNS, build_sequences, episode_step_rows, sequence_similarity
+from aifseq.sequence import (
+    STEP_COLUMNS,
+    build_sequences,
+    episode_step_rows,
+    sequence_similarity,
+    transition_matrix,
+)
 from aifseq.taxonomy import builtin_taxonomy, load_taxonomy
 
 BASE = datetime(2021, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -656,3 +662,38 @@ def test_text_writers_match_csv_writer_when_every_ref_needs_quoting(capsys, tmp_
         csv.writer(expected).writerows(rows)
         assert (out / name).read_bytes() == expected.getvalue().encode("utf-8"), name
     assert b',"al,""x"".eve.json:1"\r\n' in (out / "sequences.csv").read_bytes()
+
+
+def test_row_writer_matches_csv_writer_on_classifications_and_transitions(capsys, tmp_path):
+    # The file name quotes every alert_ref; the appended alert's message and
+    # category hold a comma, a double quote, CR and LF.
+    source = tmp_path / 'al,"x".eve.json'
+    odd = {
+        "timestamp": "2021-03-01T09:00:00+00:00", "event_type": "alert",
+        "src_ip": "10.0.0.5", "src_port": 1, "dest_ip": "192.168.1.22", "dest_port": 2,
+        "proto": "TCP",
+        "alert": {"gid": 1, "signature_id": 1, "rev": 1, "signature": 'a,"b"\r\nc',
+                  "category": "x,y", "severity": 2},
+    }
+    source.write_bytes(GOLDEN.read_bytes() + json.dumps(odd).encode() + b"\n")
+    out = tmp_path / "out"
+    for command, extra in [("classify", ()), ("sequence", ("--transitions", "both"))]:
+        code, _, _ = run(
+            capsys, command, "--output-format", "csv", *extra,
+            "--input", str(source), "--out", str(out),
+        )
+        assert code == 0
+    tax = builtin_taxonomy()
+    alerts, _ = read_alert_stream(source)
+    classified = list(classify_stream(alerts, load_mapping(starter_mapping_document(), tax), tax))
+    sequences = build_sequences(classified)
+    for name, rows in [
+        ("classifications.csv",
+         [_CLASSIFICATION_COLUMNS, *(_classification_row(a, v) for a, v in classified)]),
+        ("transitions_micro.csv", transition_matrix(sequences, "micro").to_rows()),
+        ("transitions_macro.csv", transition_matrix(sequences, "macro").to_rows()),
+    ]:
+        expected = io.StringIO()
+        csv.writer(expected).writerows(rows)
+        assert (out / name).read_bytes() == expected.getvalue().encode("utf-8"), name
+    assert b'"a,""b""\r\nc","x,y"' in (out / "classifications.csv").read_bytes()
