@@ -15,6 +15,8 @@ their committed files and nothing is registered in the repository's
 For every workload and seed the two sides run ``perfbench/run.py`` one
 after the other, the parent first on even pairs and the change first on
 odd ones, so a slow spell of the machine does not land on one side only.
+After its pairs, each workload gets one ``--trace 1`` run per side, parent
+first, at the first seed; the file keeps the per-layer metrics of both.
 Each side runs its own ``perfbench/``, and the script reads the JSON line
 each run prints: it is the same instrument, not a second one.
 
@@ -57,10 +59,14 @@ def export(commit: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {commit} failed")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its result line and environment."""
+def run_once(tree: Path, workload: str, seed: int, trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its result line and environment.
+
+    A traced run's metrics are the per-layer ones.
+    """
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -152,6 +158,14 @@ def main() -> int:
                           f"{json.dumps(run['metrics'])}", flush=True)
                 record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
                 out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+            traced = {"seed": args.seeds[0]}
+            for side in ("base", "head"):
+                traced[side] = run = run_once(trees[side], workload, args.seeds[0], trace=True)
+                ok = ok and run["correct"]
+                print(f"{workload} seed {args.seeds[0]} {side} traced: correct={run['correct']} "
+                      f"{json.dumps(run['metrics'])}", flush=True)
+            record["workloads"][workload]["traced"] = traced
+            out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0 if ok else 1
 

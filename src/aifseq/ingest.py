@@ -35,9 +35,8 @@ _PORTFUL_PROTOCOLS = frozenset({"TCP", "UDP", "SCTP"})
 # A fast line is parsed in pieces because one regex over the whole line
 # backtracks in cubic time when the message is a long run of whitespace: the
 # separators on either side of a lazy message all compete for the same run.
-_FAST_HEAD_RE = re.compile(
-    r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})\s+\[\*\*\]\s+\[(\d+):(\d+):(\d+)\]"
-)
+_FAST_TIME_RE = re.compile(r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})")
+_FAST_IDS_RE = re.compile(r"\s+\[\*\*\]\s+\[(\d+):(\d+):(\d+)\]")
 _FAST_BLOCKS_RE = re.compile(r"(?:\s+\[Classification:([^\]]*)\])?(?:\s+\[Priority:\s*(\d+)\])?")
 
 # Offsets like +0000 (no colon) predate the +00:00 spelling Python parses
@@ -47,7 +46,7 @@ _COMPACT_OFFSET_RE = re.compile(r"([+-]\d{2})(\d{2})$")
 _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year field)"
 
 # An IDS stream repeats a few addresses and signatures many times, so the
-# pure per-value work (address checks, fast signature blocks, the strings
+# pure per-value work (address checks, fast signature segments, the strings
 # alerts keep) runs once per distinct value and the alerts share its result.
 # Each memo holds a fixed number of entries; a text longer than this limit
 # bypasses it, so a full memo holds at most its size times this many
@@ -60,6 +59,8 @@ def _text_memo(maxsize: int):
 
     Non-``str`` values (unhashable JSON lists and dicts among them) and
     texts longer than ``MEMO_TEXT_LIMIT`` go to the function uncached.
+    The LRU itself is ``memo.lru``, for a caller whose text is always a
+    ``str`` and who applies the length limit itself.
     """
 
     def decorate(fn):
@@ -72,6 +73,7 @@ def _text_memo(maxsize: int):
             return fn(text)
 
         memo.cache_info = cached.cache_info
+        memo.lru = cached
         return memo
 
     return decorate
@@ -210,7 +212,8 @@ def _valid_ip(text: Any) -> str | None:
     parts = text.split(".")
     if len(parts) == 4:
         for p in parts:
-            if not p.isdecimal() or len(p) > 3 or int(p) > 255 or (p[0] == "0" and len(p) > 1):
+            # ASCII digits only: ipaddress rejects every other decimal digit.
+            if not (p.isascii() and p.isdecimal()) or len(p) > 3 or int(p) > 255 or (p[0] == "0" and len(p) > 1):
                 break
         else:
             return text
@@ -219,6 +222,11 @@ def _valid_ip(text: Any) -> str | None:
     except ValueError:
         return None
     return text
+
+
+# Fast-line addresses are always str: the fast parser calls the LRU behind
+# _valid_ip directly and applies the length limit inline.
+_ip_lru = _valid_ip.lru
 
 
 @_text_memo(4096)
@@ -333,41 +341,76 @@ def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | N
             port = int(port_text)
         except ValueError:  # more digits than int() converts
             raise AlertParseError(f"invalid endpoint {text!r}", ref) from None
-        addr = _valid_ip(addr) if port <= 65535 else None
-        if addr is None:
+        if port > 65535:
             raise AlertParseError(f"invalid endpoint {text!r}", ref)
-        return addr, port
-    addr = _valid_ip(text)
+    else:
+        addr, port = text, None
+    addr = _ip_lru(addr) if len(addr) <= MEMO_TEXT_LIMIT else _valid_ip(addr)
     if addr is None:
         raise AlertParseError(f"invalid endpoint {text!r}", ref)
-    return addr, None
+    return addr, port
 
 
-def _split_fast_line(line: str) -> tuple[str | None, ...] | None:
-    """The 15 text fields of a fast-alert line, or None if it is not one.
+def _split_fast_line(line: str) -> tuple[tuple[str, ...], tuple | str, str, str] | None:
+    """Timestamp, signature, source and destination of a fast line, or None.
 
-    Month, day, hour, minute, second, microsecond, gid, sid, rev, message,
-    category, priority, protocol, source, destination; category and
-    priority are None when their block is absent. Each step is linear in
-    the line length. The last four whitespace-separated tokens are
-    ``{PROTO} SRC -> DST``; what precedes them goes to ``_split_fast_body``.
+    The timestamp is the six digit fields of ``MM/DD-HH:MM:SS.ffffff``. What
+    lies between it and the last three whitespace-separated tokens
+    ``SRC -> DST`` is the signature segment, the same text on every alert of
+    one signature; the signature is what ``_parse_fast_signature`` makes of
+    it, looked up once per distinct segment. None if the line is not a fast
+    alert. Each step is linear in the line length.
     """
-    head = _FAST_HEAD_RE.match(line)
-    if head is None:
+    stamp = _FAST_TIME_RE.match(line)
+    if stamp is None:
         return None
-    parts = line[head.end():].rsplit(None, 4)
-    if len(parts) != 5:
+    parts = line[stamp.end():].rsplit(None, 3)
+    if len(parts) != 4 or parts[2] != "->":
         return None
-    body, proto, src, arrow, dst = parts
-    if arrow != "->" or len(proto) < 3 or proto[0] != "{" or proto[-1] != "}":
+    segment = parts[0]
+    if len(segment) <= MEMO_TEXT_LIMIT:
+        signature = _fast_signature(segment)
+    else:
+        signature = _parse_fast_signature(segment)
+    if signature is None:
+        return None
+    return stamp.groups(), signature, parts[1], parts[3]
+
+
+def _parse_fast_signature(segment: str) -> tuple | str | None:
+    """``(gid, sid, rev, severity, message, category, protocol)`` of a segment.
+
+    ``segment`` runs from a fast line's timestamp to its protocol:
+    ``  [**] [gid:sid:rev] MSG [**] [Classification: …] [Priority: N] {PROTO}``.
+    None if it does not have that shape. An id or priority with more digits
+    than ``int()`` converts gives the error message instead of raising, so
+    the caller can report a bad timestamp first.
+    """
+    ids = _FAST_IDS_RE.match(segment)
+    if ids is None:
+        return None
+    parts = segment[ids.end():].rsplit(None, 1)
+    if len(parts) != 2:
+        return None
+    body, proto = parts
+    if len(proto) < 3 or proto[0] != "{" or proto[-1] != "}":
         return None
     blocks = _split_fast_body(body)
     if blocks is None:
         return None
-    return (*head.groups(), *blocks, proto[1:-1], src, dst)
+    msg, category, priority = blocks
+    gid, sid, rev = ids.groups()
+    try:
+        severity = int(priority) if priority is not None else None
+        return int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
+    except ValueError as exc:  # more digits than int() converts
+        return f"invalid signature id or priority: {exc}"
 
 
-@_text_memo(4096)
+# Every alert of one signature shares the one tuple: its ints and strings.
+_fast_signature = lru_cache(maxsize=4096)(_parse_fast_signature)
+
+
 def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
     """Message, category and priority of ``MSG [**] [Classification…] [Priority…]``.
 
@@ -377,7 +420,7 @@ def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
     each, so the ``[**]`` that ends the message closes at one of the last
     three ``]``. As with a lazy message pattern, the earliest ``[**]`` that
     fits wins, the message holds no newline, and an empty message is tried
-    last.
+    last. An absent or blank category is None.
     """
     start = len(body) - len(body.lstrip())
     if start == 0:
@@ -401,17 +444,7 @@ def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
         if blocks is None:
             return None
     category, priority = blocks.groups()
-    return msg, category and category.strip(), priority
-
-
-@_text_memo(4096)
-def _signature_ids(block: str) -> tuple[int, int, int]:
-    """``(gid, sid, rev)`` of a fast line's ``gid:sid:rev`` digits.
-
-    Memoized, so every alert of one signature holds the same three ints.
-    """
-    gid, sid, rev = block.split(":")
-    return int(gid), int(sid), int(rev)
+    return msg, (category.strip() or None) if category else None, priority
 
 
 def parse_snort_fast_line(
@@ -421,28 +454,13 @@ def parse_snort_fast_line(
 
     The format carries no year, so ``assumed_year`` supplies it; the time is
     taken as UTC. Raises AlertParseError when the line does not match the
-    fast shape or carries invalid values.
+    fast shape or carries invalid values; of several faults it reports the
+    first of shape, timestamp, ids or priority, source, destination.
     """
     fields = _split_fast_line(line)
     if fields is None:
         raise AlertParseError("line does not match the fast-alert shape", ref)
-    (
-        month,
-        day,
-        hour,
-        minute,
-        second,
-        micros,
-        gid,
-        sid,
-        rev,
-        msg,
-        category,
-        priority,
-        proto,
-        src_text,
-        dst_text,
-    ) = fields
+    (month, day, hour, minute, second, micros), signature, src_text, dst_text = fields
 
     try:
         timestamp = datetime(
@@ -458,31 +476,17 @@ def parse_snort_fast_line(
     except ValueError as exc:
         raise AlertParseError(f"invalid timestamp: {exc}", ref) from None
 
-    try:
-        gid, sid, rev = _signature_ids(f"{gid}:{sid}:{rev}")
-        severity = int(priority) if priority is not None else None
-    except ValueError as exc:  # more digits than int() converts
-        raise AlertParseError(f"invalid signature id or priority: {exc}", ref) from None
-
-    protocol = _shared(proto.upper())
+    if isinstance(signature, str):
+        raise AlertParseError(signature, ref)
+    gid, sid, rev, severity, msg, category, protocol = signature
     src_ip, src_port = _split_endpoint(src_text, protocol, ref)
     dst_ip, dst_port = _split_endpoint(dst_text, protocol, ref)
 
+    # Positional, in field order: keyword arguments cost about as much again
+    # as building the alert.
     return NormalizedAlert(
-        timestamp=timestamp,
-        src_ip=src_ip,
-        src_port=src_port,
-        dst_ip=dst_ip,
-        dst_port=dst_port,
-        protocol=protocol,
-        generator_id=gid,
-        signature_id=sid,
-        revision=rev,
-        signature_msg=msg,
-        category=category if category else None,
-        severity=severity,
-        source_format=SNORT_FAST_FORMAT,
-        raw_ref=ref,
+        timestamp, src_ip, src_port, dst_ip, dst_port, protocol,
+        gid, sid, rev, msg, category, severity, SNORT_FAST_FORMAT, ref,
     )
 
 

@@ -303,8 +303,18 @@ def fast_like_lines(draw):
 @example(line="05/01-08:00:00.000001 [**] [1:2:3] [**] [**] [**] {T} a -> b")
 @example(line="05/01-08:00:00.000001 [**] [1:2:3] [**] {T} a -> b")
 def test_fast_split_matches_the_regex_oracle(line):
+    assert _split_fast_line(line) == oracle_split(line)
+
+
+def oracle_split(line):
+    """The oracle's fields in the form ``_split_fast_line`` returns them."""
     match = ORACLE_FAST_LINE_RE.match(line.rstrip("\r\n"))
-    assert _split_fast_line(line) == (None if match is None else match.groups())
+    if match is None:
+        return None
+    *stamp, gid, sid, rev, msg, category, priority, proto, src, dst = match.groups()
+    severity = None if priority is None else int(priority)
+    signature = (int(gid), int(sid), int(rev), severity, msg, category or None, proto.upper())
+    return tuple(stamp), signature, src, dst
 
 
 FAST_HEAD = "05/01-08:00:00.000001  [**] [1:2100498:7]"
@@ -436,6 +446,53 @@ def test_fast_stream_counts_hostile_record_and_keeps_going(bad_line):
     assert stats.malformed == 1
     assert [alert.raw_ref.index for alert in out] == [2]
     assert stats.reconciles()
+
+
+def int_limit_error(digits: str) -> str:
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"int() converts {len(digits)} digits")
+
+
+# Of several faults on one line, the first of shape, timestamp, ids or
+# priority, source and destination is the one reported.
+@pytest.mark.parametrize(
+    ("bad_line", "reason"),
+    [
+        (
+            FAST_LINE.replace("05/01", "02/30").replace("2100498", "2" * 5_000),
+            "invalid timestamp: day is out of range for month",
+        ),
+        (
+            FAST_LINE.replace("Priority: 2", f"Priority: {'2' * 5_000}").replace("10.0.0.5", "300.1.1.1"),
+            f"invalid signature id or priority: {int_limit_error('2' * 5_000)}",
+        ),
+        (
+            FAST_LINE.replace("10.0.0.5", "300.1.1.1").replace("192.168.1.20", "300.2.2.2"),
+            "invalid endpoint '300.1.1.1:51823'",
+        ),
+    ],
+    ids=["timestamp_before_sid", "priority_before_source", "source_before_destination"],
+)
+def test_fast_line_with_two_faults_reports_the_first(bad_line, reason):
+    alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019, source_name="feed")
+    assert list(alerts) == []
+    assert stats.first_error_samples == [("feed:1", reason)]
+
+
+@pytest.mark.parametrize("fmt", ["eve", "snort_fast"])
+def test_ipv4_with_non_ascii_digits_is_malformed(fmt):
+    # ipaddress takes ASCII digits only, so "١٠.0.0.5" is no address at all,
+    # not a second attacker beside 10.0.0.5.
+    source = "\u0661\u0660.0.0.5"
+    assert ingest._valid_ip(source) is None
+    bad = eve_line(src_ip=source) if fmt == "eve" else FAST_LINE.replace("10.0.0.5", source)
+    good = eve_line() if fmt == "eve" else FAST_LINE
+    alerts, stats = read_alert_stream([bad, good], fmt=fmt, assumed_year=2019)
+    assert [alert.src_ip for alert in alerts] == ["10.0.0.5"]
+    assert stats.malformed == 1
 
 
 def test_fast_arabic_indic_digits_still_parse():
@@ -590,19 +647,22 @@ def test_stream_stats_fill_during_iteration():
     assert stats.alerts_emitted == 2
 
 
-MEMOS = (ingest._valid_ip, ingest._split_fast_body, ingest._shared, ingest._signature_ids)
+MEMOS = (ingest._valid_ip, ingest._shared, ingest._fast_signature)
 
 
 def uncached(monkeypatch):
-    for memo in MEMOS:
-        monkeypatch.setattr(ingest, memo.__name__, memo.__wrapped__)
+    # Each memo, and the address LRU the fast parser calls directly, gives
+    # way to the function it caches.
+    for name in ("_valid_ip", "_ip_lru", "_shared", "_fast_signature"):
+        monkeypatch.setattr(ingest, name, getattr(ingest, name).__wrapped__)
 
 
 def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
     # 5,000 lines with their own source, destination, message, signature id
-    # and verdict key: 10,000 addresses, 5,000 bodies, ids and keys, more
-    # than each memo holds; the first 500 lines come again after they were
-    # evicted.
+    # and verdict key: 10,000 addresses, 5,000 signature segments and keys,
+    # more than each memo holds; the first 500 lines come again after they
+    # were evicted. The same alerts as EVE records give _shared 5,000
+    # messages.
     tax = builtin_taxonomy()
     spec = load_mapping(starter_mapping_document(), tax)
     categories = ["Attempted Information Leak", "Misc activity", "Web Application Attack"]
@@ -622,8 +682,12 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
         cached.append(alert)
     assert stats.alerts_emitted == len(lines)
     assert len({a.src_ip for a in cached} | {a.dst_ip for a in cached}) > ingest._valid_ip.cache_info().maxsize
-    assert len({a.signature_msg for a in cached}) > ingest._split_fast_body.cache_info().maxsize
-    assert len({a.signature_id for a in cached}) > ingest._signature_ids.cache_info().maxsize
+    assert len({a.signature_msg for a in cached}) > ingest._fast_signature.cache_info().maxsize
+    assert len({a.signature_id for a in cached}) > ingest._fast_signature.cache_info().maxsize
+    eve_lines = [render_eve_record(alert) for alert in cached]
+    eve_cached = list(read_alert_stream(eve_lines, fmt="eve")[0])
+    assert [a.content_fields() for a in eve_cached] == [a.content_fields() for a in cached]
+    assert len({a.signature_msg for a in eve_cached}) > ingest._shared.cache_info().maxsize
     for memo in MEMOS:
         info = memo.cache_info()
         assert 0 < info.currsize <= info.maxsize
@@ -631,24 +695,27 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
     uncached(monkeypatch)
     alerts, _ = read_alert_stream(lines, fmt="snort_fast", assumed_year=2019)
     assert list(alerts) == cached
+    assert list(read_alert_stream(eve_lines, fmt="eve")[0]) == eve_cached
 
 
 def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
     long_msg = "x" * (MEMO_TEXT_LIMIT + 1)
     scoped = "fe80::1%" + "e" * MEMO_TEXT_LIMIT
-    for memo, text in [
-        (ingest._valid_ip, scoped),
-        (ingest._split_fast_body, f" {long_msg} [**] [Priority: 1]"),
-        (ingest._shared, long_msg),
-        (ingest._signature_ids, f"1:{'2' * MEMO_TEXT_LIMIT}:3"),
-    ]:
+    for memo, text in [(ingest._valid_ip, scoped), (ingest._shared, long_msg)]:
         before = memo.cache_info()
         assert memo(text) == memo.__wrapped__(text) is not None
         assert memo.cache_info() == before
+    # A fast line whose signature segment and both addresses are over the
+    # limit touches no memo.
     fast = FAST_LINE.replace("GPL ATTACK_RESPONSE id check returned root", long_msg)
     fast = fast.replace("[1:2100498:7]", f"[1:{'2' * MEMO_TEXT_LIMIT}:7]")
+    fast = fast.replace("10.0.0.5", scoped).replace("192.168.1.20", scoped)
+    before = [memo.cache_info() for memo in MEMOS]
+    results = [parse_snort_fast_line(fast, assumed_year=2019)]
+    assert [memo.cache_info() for memo in MEMOS] == before
+    assert results[0].src_ip == results[0].dst_ip == scoped
     eve = eve_line(src_ip=scoped, alert={"signature_id": 1, "signature": long_msg})
-    results = [parse_snort_fast_line(fast, assumed_year=2019), parse_eve_record(eve)]
+    results.append(parse_eve_record(eve))
     assert results[0].signature_msg == results[1].signature_msg == long_msg
     uncached(monkeypatch)
     assert results == [parse_snort_fast_line(fast, assumed_year=2019), parse_eve_record(eve)]
