@@ -16,7 +16,10 @@ For every workload and seed the two sides run ``perfbench/run.py`` one
 after the other, the parent first on even pairs and the change first on
 odd ones, so a slow spell of the machine does not land on one side only.
 After its pairs, each workload gets one ``--trace 1`` run per side, parent
-first, at the first seed; the file keeps the per-layer metrics of both.
+first, at the first seed; the file keeps the per-layer metrics of both, and
+beside them each one in seconds divided by that run's reference pass
+(``reference_s``), the gauge of the machine's speed that ``wall_ref`` uses,
+so the two runs compare across a change in the machine's speed.
 Each side runs its own ``perfbench/``, and the script reads the JSON line
 each run prints: it is the same instrument, not a second one.
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -41,6 +45,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The line each perfbench/run.py run prints for the median reference pass.
+REFERENCE_LINE = re.compile(r"\s*reference_s = (\S+) s \(raw\)$")
 
 
 def git(*args: str) -> str:
@@ -60,7 +66,7 @@ def export(commit: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: bool = False) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its result line and environment.
+    """One ``perfbench/run.py`` run in ``tree``: its result line, reference pass and environment.
 
     A traced run's metrics are the per-layer ones.
     """
@@ -72,6 +78,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool = False) -> dict:
     lines = proc.stdout.splitlines()
     env = next((json.loads(line.split(":", 1)[1]) for line in lines
                 if line.startswith("environment: ")), None)
+    reference = next((float(m.group(1)) for line in lines if (m := REFERENCE_LINE.match(line))), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -82,6 +89,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool = False) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "reference_s": reference,
         "environment": env,
         **({"error": result["error"]} if "error" in result else {}),
     }
@@ -131,6 +139,7 @@ def main() -> int:
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = benchmark["end_to_end"]
+    seconds = [m["name"] for m in benchmark["per_layer"] if m["unit"] == "s"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     out = ROOT / f"BENCH_{args.pr}.json"
     record = {
@@ -162,6 +171,9 @@ def main() -> int:
             for side in ("base", "head"):
                 traced[side] = run = run_once(trees[side], workload, args.seeds[0], trace=True)
                 ok = ok and run["correct"]
+                if run["reference_s"]:
+                    run["metrics_ref"] = {name: run["metrics"][name] / run["reference_s"]
+                                          for name in seconds if name in run["metrics"]}
                 print(f"{workload} seed {args.seeds[0]} {side} traced: correct={run['correct']} "
                       f"{json.dumps(run['metrics'])}", flush=True)
             record["workloads"][workload]["traced"] = traced

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from itertools import chain
@@ -63,8 +64,9 @@ def _positive_int(text: str) -> int:
 
 def _non_negative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    # NaN passes every "< 0" test, and neither NaN nor inf is valid JSON.
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be a finite non-negative number")
     return value
 
 

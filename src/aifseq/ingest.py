@@ -22,7 +22,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache, wraps
+from functools import lru_cache
 from ipaddress import ip_address
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -48,35 +48,19 @@ _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year 
 # An IDS stream repeats a few addresses and signatures many times, so the
 # pure per-value work (address checks, fast signature segments, the strings
 # alerts keep) runs once per distinct value and the alerts share its result.
-# Each memo holds a fixed number of entries; a text longer than this limit
-# bypasses it, so a full memo holds at most its size times this many
-# characters of keys.
+# Each memo is an lru_cache of a fixed number of entries; a text longer than
+# this limit bypasses it, so a full memo holds at most its size times this
+# many characters of keys.
 MEMO_TEXT_LIMIT = 512
 
 
-def _text_memo(maxsize: int):
-    """Memoize a pure function of one text in a bounded LRU cache.
+def _memo(cache, text: str):
+    """``cache(text)``, or the function behind it for a text over the limit.
 
-    Non-``str`` values (unhashable JSON lists and dicts among them) and
-    texts longer than ``MEMO_TEXT_LIMIT`` go to the function uncached.
-    The LRU itself is ``memo.lru``, for a caller whose text is always a
-    ``str`` and who applies the length limit itself.
+    The fast parser applies the same test inline to its two lookups per
+    line, where the extra call would cost as much as the lookup.
     """
-
-    def decorate(fn):
-        cached = lru_cache(maxsize=maxsize)(fn)
-
-        @wraps(fn)
-        def memo(text):
-            if isinstance(text, str) and len(text) <= MEMO_TEXT_LIMIT:
-                return cached(text)
-            return fn(text)
-
-        memo.cache_info = cached.cache_info
-        memo.lru = cached
-        return memo
-
-    return decorate
+    return cache(text) if len(text) <= MEMO_TEXT_LIMIT else cache.__wrapped__(text)
 
 
 class AlertParseError(ValueError):
@@ -200,23 +184,12 @@ def _parse_timestamp(text: Any, ref: RawRef) -> datetime:
         raise AlertParseError(f"timestamp {text!r} is out of range in UTC", ref) from None
 
 
-@_text_memo(8192)
-def _valid_ip(text: Any) -> str | None:
+@lru_cache(maxsize=8192)
+def _valid_ip(text: str) -> str | None:
     """``text`` if it is an IP address, else None.
 
     Memoized, so every alert from one address holds the first-seen copy of it.
     """
-    if not isinstance(text, str) or not text:
-        return None
-    # Fast path for plain IPv4; ipaddress handles IPv6 and the oddities.
-    parts = text.split(".")
-    if len(parts) == 4:
-        for p in parts:
-            # ASCII digits only: ipaddress rejects every other decimal digit.
-            if not (p.isascii() and p.isdecimal()) or len(p) > 3 or int(p) > 255 or (p[0] == "0" and len(p) > 1):
-                break
-        else:
-            return text
     try:
         ip_address(text)
     except ValueError:
@@ -224,12 +197,7 @@ def _valid_ip(text: Any) -> str | None:
     return text
 
 
-# Fast-line addresses are always str: the fast parser calls the LRU behind
-# _valid_ip directly and applies the length limit inline.
-_ip_lru = _valid_ip.lru
-
-
-@_text_memo(4096)
+@lru_cache(maxsize=4096)
 def _shared(text: str) -> str:
     """The first-seen copy of ``text``, so alerts repeating it share one string."""
     return text
@@ -239,6 +207,14 @@ def _check_port(value: Any, what: str, ref: RawRef) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 65535:
         raise AlertParseError(f"invalid {what} {value!r}", ref)
     return value
+
+
+def _check_address(value: Any, what: str, ref: RawRef) -> str:
+    # ip_address also takes ints, and JSON lists and dicts are unhashable.
+    address = _memo(_valid_ip, value) if isinstance(value, str) else None
+    if address is None:
+        raise AlertParseError(f"invalid {what} {value!r}", ref)
+    return address
 
 
 def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAlert | None:
@@ -273,17 +249,13 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError("alert.signature_id / alert.signature missing", ref)
 
     timestamp = _parse_timestamp(record["timestamp"], ref)
-    src_ip = _valid_ip(record["src_ip"])
-    if src_ip is None:
-        raise AlertParseError(f"invalid src_ip {record['src_ip']!r}", ref)
-    dst_ip = _valid_ip(record["dest_ip"])
-    if dst_ip is None:
-        raise AlertParseError(f"invalid dest_ip {record['dest_ip']!r}", ref)
+    src_ip = _check_address(record["src_ip"], "src_ip", ref)
+    dst_ip = _check_address(record["dest_ip"], "dest_ip", ref)
 
     proto = record["proto"]
     if not isinstance(proto, str) or not proto:
         raise AlertParseError(f"invalid proto {proto!r}", ref)
-    protocol = _shared(proto.upper())
+    protocol = _memo(_shared, proto.upper())
 
     if protocol in _PORTFUL_PROTOCOLS:
         src_port = _check_port(record.get("src_port"), "src_port", ref)
@@ -306,7 +278,7 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
     category = alert.get("category")
     if category is not None and not isinstance(category, str):
         raise AlertParseError(f"invalid alert.category {category!r}", ref)
-    category = _shared(category) if category else None
+    category = _memo(_shared, category) if category else None
 
     severity = alert.get("severity")
     if severity is not None and (
@@ -315,20 +287,8 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError(f"invalid alert.severity {severity!r}", ref)
 
     return NormalizedAlert(
-        timestamp=timestamp,
-        src_ip=src_ip,
-        src_port=src_port,
-        dst_ip=dst_ip,
-        dst_port=dst_port,
-        protocol=protocol,
-        generator_id=gid,
-        signature_id=sid,
-        revision=rev,
-        signature_msg=_shared(msg),
-        category=category,
-        severity=severity,
-        source_format=EVE_FORMAT,
-        raw_ref=ref,
+        timestamp, src_ip, src_port, dst_ip, dst_port, protocol,
+        gid, sid, rev, _memo(_shared, msg), category, severity, EVE_FORMAT, ref,
     )
 
 
@@ -345,7 +305,7 @@ def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | N
             raise AlertParseError(f"invalid endpoint {text!r}", ref)
     else:
         addr, port = text, None
-    addr = _ip_lru(addr) if len(addr) <= MEMO_TEXT_LIMIT else _valid_ip(addr)
+    addr = _valid_ip(addr) if len(addr) <= MEMO_TEXT_LIMIT else _valid_ip.__wrapped__(addr)
     if addr is None:
         raise AlertParseError(f"invalid endpoint {text!r}", ref)
     return addr, port

@@ -65,7 +65,6 @@ class SequenceStep:
 class Episode:
     """A burst of activity: consecutive steps no further apart than the gap."""
 
-    key: AttackerKey
     steps: tuple[SequenceStep, ...]
 
     @property
@@ -154,9 +153,10 @@ def build_sequences(
     fields = KEY_CONFIGS.get(key_config)
     if fields is None:
         raise ValueError(f"unknown key_config {key_config!r}; expected one of {sorted(KEY_CONFIGS)}")
-    if gap_threshold < 0:
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not gap_threshold >= 0:
         raise ValueError("gap_threshold must be non-negative")
-    if skew_seconds < 0:
+    if not skew_seconds >= 0:
         raise ValueError("skew_seconds must be non-negative")
 
     groups: dict[tuple[str, ...], list[SequenceStep]] = {}
@@ -188,11 +188,11 @@ def build_sequences(
         current: list[SequenceStep] = []
         for step in sorted(groups[value], key=attrgetter("ts")):
             if current and (step.ts - current[-1].ts).total_seconds() > gap_threshold:
-                episodes.append(Episode(key=key, steps=tuple(current)))
+                episodes.append(Episode(tuple(current)))
                 current = []
             current.append(step)
         if current:
-            episodes.append(Episode(key=key, steps=tuple(current)))
+            episodes.append(Episode(tuple(current)))
         sequences.append(
             AisSequence(key=key, episodes=tuple(episodes), gap_threshold=float(gap_threshold))
         )

@@ -413,7 +413,7 @@ def _label_sequence(labels: tuple[str, ...], who: str) -> AisSequence:
         SequenceStep(BASE + timedelta(seconds=i), label, label, RawRef("sim", i))
         for i, label in enumerate(labels)
     )
-    return AisSequence(key=key, episodes=(Episode(key=key, steps=steps),), gap_threshold=600.0)
+    return AisSequence(key=key, episodes=(Episode(steps=steps),), gap_threshold=600.0)
 
 
 def _oracle_collapse(labels) -> list[str]:

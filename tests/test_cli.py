@@ -418,6 +418,19 @@ def test_sequence_out_of_order_exits_5(capsys, tmp_path):
     assert "skew" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--gap-seconds", "--skew-seconds"])
+def test_sequence_rejects_non_finite_thresholds(capsys, tmp_path, flag, value):
+    # NaN passed the "< 0" check, silently re-sorted any disorder and wrote
+    # NaN or Infinity, which is not JSON, into the manifest.
+    feed = tmp_path / "feed.json"
+    feed.write_text("\n".join([eve_alert(5 * 3600), eve_alert(0)]) + "\n")
+    code, _, err = run(capsys, "sequence", "--input", str(feed), "--out", str(tmp_path / "o"), flag, value)
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_outputs_are_deterministic(capsys, tmp_path, three_alert_feed):
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for out_dir in dirs:

@@ -8,6 +8,7 @@ import json
 import re
 import time
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -651,10 +652,10 @@ MEMOS = (ingest._valid_ip, ingest._shared, ingest._fast_signature)
 
 
 def uncached(monkeypatch):
-    # Each memo, and the address LRU the fast parser calls directly, gives
-    # way to the function it caches.
-    for name in ("_valid_ip", "_ip_lru", "_shared", "_fast_signature"):
-        monkeypatch.setattr(ingest, name, getattr(ingest, name).__wrapped__)
+    # Each memo gives way to an LRU of size 0 over the function it caches,
+    # which keeps the __wrapped__ that the length bypass calls.
+    for name in ("_valid_ip", "_shared", "_fast_signature"):
+        monkeypatch.setattr(ingest, name, lru_cache(maxsize=0)(getattr(ingest, name).__wrapped__))
 
 
 def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
@@ -703,7 +704,7 @@ def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
     scoped = "fe80::1%" + "e" * MEMO_TEXT_LIMIT
     for memo, text in [(ingest._valid_ip, scoped), (ingest._shared, long_msg)]:
         before = memo.cache_info()
-        assert memo(text) == memo.__wrapped__(text) is not None
+        assert ingest._memo(memo, text) == memo.__wrapped__(text) is not None
         assert memo.cache_info() == before
     # A fast line whose signature segment and both addresses are over the
     # limit touches no memo.

@@ -74,7 +74,7 @@ def seq_of(*episode_labels: list[str], key_value=("10.0.0.5",)) -> AisSequence:
         for label in labels:
             steps.append(SequenceStep(at(tick), label, TAX.macro_of(label), RawRef("t", tick)))
             tick += 1
-        episodes.append(Episode(key=key, steps=tuple(steps)))
+        episodes.append(Episode(steps=tuple(steps)))
         tick += 10_000
     return AisSequence(key=key, episodes=tuple(episodes), gap_threshold=600.0)
 
@@ -179,6 +179,19 @@ def test_bad_config_rejected():
         build_sequences([], gap_threshold=-1)
     with pytest.raises(ValueError, match="skew"):
         build_sequences([], skew_seconds=-1)
+
+
+@pytest.mark.parametrize("name", ["gap_threshold", "skew_seconds"])
+def test_nan_threshold_rejected(name):
+    # Every comparison with NaN is false, so a "< 0" check lets it through.
+    with pytest.raises(ValueError, match=name):
+        build_sequences([pair(0)], **{name: float("nan")})
+
+
+def test_infinite_thresholds_keep_their_meaning():
+    stream = [pair(0), pair(5 * 3600), pair(10)]
+    seqs = build_sequences(stream, gap_threshold=float("inf"), skew_seconds=float("inf"))
+    assert [[st.ts for st in ep.steps] for ep in seqs[0].episodes] == [[at(0), at(10), at(5 * 3600)]]
 
 
 def test_empty_stream_yields_no_sequences():
