@@ -179,13 +179,11 @@ def test_bad_config_rejected():
         build_sequences([], gap_threshold=-1)
     with pytest.raises(ValueError, match="skew"):
         build_sequences([], skew_seconds=-1)
-
-
-@pytest.mark.parametrize("name", ["gap_threshold", "skew_seconds"])
-def test_nan_threshold_rejected(name):
     # Every comparison with NaN is false, so a "< 0" check lets it through.
-    with pytest.raises(ValueError, match=name):
-        build_sequences([pair(0)], **{name: float("nan")})
+    with pytest.raises(ValueError, match="gap_threshold"):
+        build_sequences([pair(0)], gap_threshold=float("nan"))
+    with pytest.raises(ValueError, match="skew"):
+        build_sequences([pair(0)], skew_seconds=float("nan"))
 
 
 def test_infinite_thresholds_keep_their_meaning():
