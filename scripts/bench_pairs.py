@@ -15,15 +15,18 @@ their committed files and nothing is registered in the repository's
 For every workload and seed the two sides run ``perfbench/run.py`` one
 after the other, the parent first on even pairs and the change first on
 odd ones, so a slow spell of the machine does not land on one side only.
-After its pairs, each workload gets one ``--trace 1`` run per side, parent
-first, at the first seed; the file keeps the per-layer metrics of both, and
-beside them each one in seconds divided by that run's reference pass
-(``reference_s``), the gauge of the machine's speed that ``wall_ref`` uses,
-so the two runs compare across a change in the machine's speed.
+After its pairs, each workload gets three ``--trace 1`` runs per side at
+the first seed, alternating in the same way. The file keeps the per-layer
+metrics of every traced run, and beside them each one in seconds divided by
+that run's reference pass (``reference_s``), the gauge of the machine's
+speed that ``wall_ref`` uses, so runs compare across a change in the
+machine's speed; per side it also keeps the median of each such metric.
 Each side runs its own ``perfbench/``, and the script reads the JSON line
 each run prints: it is the same instrument, not a second one.
 
-The output holds both commits, the workloads, seeds and environment, every
+The output holds both commits, the workloads, seeds and environment
+(including whether ``PYTHONDONTWRITEBYTECODE`` kept the runs from caching
+bytecode, which moves ``setup_s`` and peak RSS), every
 run's end-to-end values, each side's median and quartiles, and per metric
 the number of pairs the change won (ties count for neither) and whether
 that is a gain: at least nine wins in ten and medians further apart than
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import re
 import statistics
@@ -47,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # The line each perfbench/run.py run prints for the median reference pass.
 REFERENCE_LINE = re.compile(r"\s*reference_s = (\S+) s \(raw\)$")
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -126,6 +131,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def median_ref(runs: list[dict]) -> dict:
+    """Per metric, the median over ``runs`` of its value in reference units."""
+    values: dict[str, list[float]] = {}
+    for run in runs:
+        for name, value in run.get("metrics_ref", {}).items():
+            values.setdefault(name, []).append(value)
+    return {name: statistics.median(v) for name, v in values.items()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
@@ -148,7 +162,8 @@ def main() -> int:
         "run_seconds": benchmark["run_seconds"],
         "seeds": args.seeds,
         "order": "parent first on even pairs (0-based), change first on odd pairs",
-        "environment": {"python": platform.python_version(), "platform": platform.platform()},
+        "environment": {"python": platform.python_version(), "platform": platform.platform(),
+                        "bytecode_cached": not os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "workloads": {},
     }
     ok = True
@@ -167,15 +182,18 @@ def main() -> int:
                           f"{json.dumps(run['metrics'])}", flush=True)
                 record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
                 out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-            traced = {"seed": args.seeds[0]}
-            for side in ("base", "head"):
-                traced[side] = run = run_once(trees[side], workload, args.seeds[0], trace=True)
-                ok = ok and run["correct"]
-                if run["reference_s"]:
-                    run["metrics_ref"] = {name: run["metrics"][name] / run["reference_s"]
-                                          for name in seconds if name in run["metrics"]}
-                print(f"{workload} seed {args.seeds[0]} {side} traced: correct={run['correct']} "
-                      f"{json.dumps(run['metrics'])}", flush=True)
+            traced = {"seed": args.seeds[0], "base": [], "head": []}
+            for index in range(TRACED_RUNS):
+                for side in ("base", "head") if index % 2 == 0 else ("head", "base"):
+                    run = run_once(trees[side], workload, args.seeds[0], trace=True)
+                    ok = ok and run["correct"]
+                    if run["reference_s"]:
+                        run["metrics_ref"] = {name: run["metrics"][name] / run["reference_s"]
+                                              for name in seconds if name in run["metrics"]}
+                    traced[side].append(run)
+                    print(f"{workload} seed {args.seeds[0]} {side} traced: correct={run['correct']} "
+                          f"{json.dumps(run['metrics'])}", flush=True)
+            traced["median_ref"] = {side: median_ref(traced[side]) for side in ("base", "head")}
             record["workloads"][workload]["traced"] = traced
             out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")

@@ -422,19 +422,28 @@ def parse_snort_fast_line(
         raise AlertParseError("line does not match the fast-alert shape", ref)
     (month, day, hour, minute, second, micros), signature, src_text, dst_text = fields
 
+    # Building the ISO text and parsing it in one C call costs about a third
+    # less than the constructor with its seven int() calls. Whatever it
+    # rejects (a bad year or field, non-ASCII digits, a year that is not an
+    # int) goes to the constructor, which decides and sets the error text.
     try:
-        timestamp = datetime(
-            assumed_year,
-            int(month),
-            int(day),
-            int(hour),
-            int(minute),
-            int(second),
-            int(micros),
-            tzinfo=timezone.utc,
+        timestamp = datetime.fromisoformat(
+            f"{assumed_year:04d}-{month}-{day}T{hour}:{minute}:{second}.{micros}+00:00"
         )
-    except ValueError as exc:
-        raise AlertParseError(f"invalid timestamp: {exc}", ref) from None
+    except (TypeError, ValueError):
+        try:
+            timestamp = datetime(
+                assumed_year,
+                int(month),
+                int(day),
+                int(hour),
+                int(minute),
+                int(second),
+                int(micros),
+                tzinfo=timezone.utc,
+            )
+        except ValueError as exc:
+            raise AlertParseError(f"invalid timestamp: {exc}", ref) from None
 
     if isinstance(signature, str):
         raise AlertParseError(signature, ref)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -306,6 +307,19 @@ def test_fast_format_with_year_classifies(capsys, tmp_path):
     assert record["ts"].startswith("2021-03-01T12:00:00")
 
 
+@pytest.mark.parametrize("year", ["0", "10000", "-5"])
+def test_assumed_year_outside_datetimes_range_is_a_usage_error(capsys, tmp_path, year):
+    # Such a year made every fast line malformed in a run that exited 0.
+    feed = tmp_path / "alerts.fast"
+    feed.write_text("03/01-12:00:00.000000  [**] [1:1:1] x [**] {TCP} 10.0.0.5:1 -> 10.0.0.6:2\n")
+    code, _, err = run(
+        capsys, "classify", "--input", str(feed), "--assumed-year", year, "--out", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert "1 to 9999" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sequence_gap_split_and_macro_transitions(capsys, tmp_path, three_alert_feed):
     out_dir = tmp_path / "out"
     code, _, _ = run(
@@ -429,6 +443,42 @@ def test_sequence_rejects_non_finite_thresholds(capsys, tmp_path, flag, value):
     assert code == 2
     assert "finite" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc_on", "gc_off"])
+def test_main_runs_without_the_cyclic_gc_and_restores_the_callers_setting(
+    capsys, tmp_path, three_alert_feed, monkeypatch, caller_gc
+):
+    bad_mapping = tmp_path / "bad.json"
+    bad_mapping.write_text("{not json")
+    unsorted = tmp_path / "unsorted.json"
+    unsorted.write_text("\n".join([eve_alert(100), eve_alert(0)]) + "\n")
+    runs = [
+        (0, ["sequence", "--input", str(three_alert_feed), "--out", str(tmp_path / "o0")]),
+        (2, ["klassify"]),
+        (2, ["taxonomy", "show", "--macro", "nope"]),
+        (3, ["sequence", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o3")]),
+        (4, ["sequence", "--input", str(three_alert_feed), "--mapping", str(bad_mapping),
+             "--out", str(tmp_path / "o4")]),
+        (5, ["sequence", "--input", str(unsorted), "--out", str(tmp_path / "o5")]),
+    ]
+    seen = []
+
+    def recording_build_sequences(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build_sequences(*args, **kwargs)
+
+    monkeypatch.setattr("aifseq.cli.build_sequences", recording_build_sequences)
+    was_enabled = gc.isenabled()
+    try:
+        for expected, argv in runs:
+            gc.enable() if caller_gc else gc.disable()
+            assert run(capsys, *argv)[0] == expected
+            assert gc.isenabled() is caller_gc
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    # The exit-0 and exit-5 runs reach build_sequences, with the GC off.
+    assert seen == [False, False]
 
 
 def test_outputs_are_deterministic(capsys, tmp_path, three_alert_feed):

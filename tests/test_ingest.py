@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from aifseq import classify, ingest
 from aifseq.classify import classify_alert, classify_stream, load_mapping, starter_mapping_document
+from aifseq.cli import main
 from aifseq.ingest import (
     MEMO_TEXT_LIMIT,
     AlertParseError,
@@ -246,6 +247,61 @@ def test_fast_invalid_date_rejected():
         parse_snort_fast_line(line, assumed_year=2019)
 
 
+def constructor_timestamp(year, month, day, hour, minute, second, micros):
+    """The exact constructor's timestamp, or the text the parser reports for its error."""
+    try:
+        return datetime(year, int(month), int(day), int(hour), int(minute), int(second),
+                        int(micros), tzinfo=timezone.utc)
+    except ValueError as exc:
+        return f"invalid timestamp: {exc}"
+
+
+def fast_line_timestamp(year, month, day, hour, minute, second, micros):
+    line = f"{month}/{day}-{hour}:{minute}:{second}.{micros}" + FAST_LINE[len("05/01-08:00:00.000001"):]
+    try:
+        return parse_snort_fast_line(line, assumed_year=year, ref=None).timestamp
+    except AlertParseError as exc:
+        return str(exc)
+
+
+TWO_DIGITS = [f"{n:02d}" for n in range(100)]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def fast_timestamp_cases():
+    for year in (2020, 2021):
+        for month in TWO_DIGITS:
+            for day in TWO_DIGITS:
+                yield year, month, day, "08", "00", "00", "000001"
+    for hour in TWO_DIGITS:
+        for minute in TWO_DIGITS:
+            yield 2021, "12", "31", hour, minute, "00", "000000"
+    for second in TWO_DIGITS:
+        yield 2021, "02", "28", "23", "59", second, "999999"
+    for year in (0, 1, 9999, 10000, -1, True):
+        yield year, "01", "01", "00", "00", "00", "000000"
+        yield year, "12", "31", "23", "59", "59", "999999"
+    for fields in (("02", "29", "23", "59", "59", "123456"), ("13", "01", "00", "00", "00", "000000"),
+                   ("12", "31", "24", "00", "00", "000000")):
+        for mask in range(1, 64):
+            # Arabic-Indic digits in every non-empty subset of the six fields.
+            yield 2020, *(f.translate(ARABIC_INDIC) if mask >> i & 1 else f for i, f in enumerate(fields))
+
+
+def test_fast_timestamp_matches_the_exact_constructor():
+    # The parser tries datetime.fromisoformat first; it must agree with the
+    # constructor on every value, on tzinfo and on every error text, so a
+    # Python whose fromisoformat accepts more (say T24:00) fails here.
+    for case in fast_timestamp_cases():
+        got, want = fast_line_timestamp(*case), constructor_timestamp(*case)
+        assert got == want, case
+        if isinstance(want, datetime):
+            assert got.tzinfo is timezone.utc and got.isoformat() == want.isoformat(), case
+    for year in ("2021", 2021.0, None):
+        with pytest.raises(TypeError):
+            parse_snort_fast_line(FAST_LINE, assumed_year=year)
+
+
 def test_fast_tcp_endpoint_without_port_rejected():
     line = (
         "05/01-08:00:00.000001  [**] [1:5:0] x [**] "
@@ -398,21 +454,17 @@ def test_stream_counts_and_error_isolation():
     assert len(stats.first_error_samples) == 2
 
 
-@pytest.mark.parametrize(
-    "bad_line",
-    [
-        eve_line(timestamp=123),
-        eve_line(timestamp=None),
-        eve_line(timestamp="9999-12-31T23:59:59-01:00"),
-        "[" * 100_000 + "]" * 100_000,
-        eve_line(src_ip="1.2.3.\u00b2"),
-        eve_line().replace('"rev": 7', '"rev": ' + "7" * 5_000),
-    ],
-    ids=[
-        "int_timestamp", "null_timestamp", "timestamp_overflows_utc", "deep_nesting",
-        "superscript_octet", "int_literal_over_the_int_limit",
-    ],
-)
+HOSTILE_EVE_LINES = {
+    "int_timestamp": eve_line(timestamp=123),
+    "null_timestamp": eve_line(timestamp=None),
+    "timestamp_overflows_utc": eve_line(timestamp="9999-12-31T23:59:59-01:00"),
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "superscript_octet": eve_line(src_ip="1.2.3.\u00b2"),
+    "int_literal_over_the_int_limit": eve_line().replace('"rev": 7', '"rev": ' + "7" * 5_000),
+}
+
+
+@pytest.mark.parametrize("bad_line", list(HOSTILE_EVE_LINES.values()), ids=list(HOSTILE_EVE_LINES))
 def test_stream_counts_hostile_record_and_keeps_going(bad_line):
     alerts, stats = read_alert_stream([bad_line, eve_line()], fmt="eve")
     out = list(alerts)
@@ -447,6 +499,49 @@ def test_fast_stream_counts_hostile_record_and_keeps_going(bad_line):
     assert stats.malformed == 1
     assert [alert.raw_ref.index for alert in out] == [2]
     assert stats.reconciles()
+
+
+def cyclic_garbage_after_sequence_runs(tmp_path, name, lines, fmt):
+    """What gc.collect() finds after ``aifseq sequence`` runs over ``lines`` with the GC off.
+
+    One run per output format, so both exports are covered, and the
+    transition and similarity analytics run too.
+    """
+    feed = tmp_path / f"{name}.txt"
+    feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    found = 0
+    for output_format in ("json", "csv"):
+        argv = ["sequence", "--input", str(feed), "--format", fmt, "--assumed-year", "2019",
+                "--out", str(tmp_path / name / output_format), "--output-format", output_format,
+                "--transitions", "both", "--similarity", "lcs"]
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            found += gc.collect()
+        finally:
+            gc.enable()
+    return found
+
+
+@pytest.mark.parametrize(
+    "fmt, good, bad",
+    [
+        ("eve", eve_line, list(HOSTILE_EVE_LINES.values())),
+        ("fast", lambda src_ip: FAST_LINE.replace("10.0.0.5", src_ip),
+         [FAST_LINE.replace("05/01", "02/30")]),
+    ],
+    ids=["eve", "fast"],
+)
+def test_pipeline_leaves_no_cyclic_garbage_per_record(tmp_path, capsys, fmt, good, bad):
+    # The CLI runs with the cyclic GC off, so every record, malformed or not,
+    # must be freed by reference counting alone on its way through ingest,
+    # classify, build_sequences and both exports.
+    lines = [line for i in range(30) for line in (*bad, good(src_ip=f"10.0.{i}.5"))]
+    cyclic_garbage_after_sequence_runs(tmp_path, "warm", lines, fmt)
+    one_record = cyclic_garbage_after_sequence_runs(tmp_path, "one", [good(src_ip="10.0.0.5")], fmt)
+    hostile = cyclic_garbage_after_sequence_runs(tmp_path, "hostile", lines, fmt)
+    assert hostile <= one_record
 
 
 def int_limit_error(digits: str) -> str:
