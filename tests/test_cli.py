@@ -469,14 +469,15 @@ def test_main_runs_without_the_cyclic_gc_and_restores_the_callers_setting(
         return build_sequences(*args, **kwargs)
 
     monkeypatch.setattr("aifseq.cli.build_sequences", recording_build_sequences)
-    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for expected, argv in runs:
-            gc.enable() if caller_gc else gc.disable()
+            if caller_gc:
+                gc.enable()
             assert run(capsys, *argv)[0] == expected
             assert gc.isenabled() is caller_gc
     finally:
-        gc.enable() if was_enabled else gc.disable()
+        gc.enable()
     # The exit-0 and exit-5 runs reach build_sequences, with the GC off.
     assert seen == [False, False]
 
