@@ -56,27 +56,25 @@ _FORMATS = {"eve": EVE_FORMAT, "fast": SNORT_FAST_FORMAT, "auto": "auto"}
 _KEYS = {"src": "src", "src-dst": "src_dst"}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _number(convert, ok, rule: str):
+    """An argparse type that reports ``rule`` for a non-number and a value ``ok`` rejects."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(rule) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return parse
 
 
-def _year(text: str) -> int:
-    value = int(text)
-    # datetime's range: a year outside it would make every fast line malformed.
-    if not 1 <= value <= 9999:
-        raise argparse.ArgumentTypeError("must be a year from 1 to 9999")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    # NaN passes every "< 0" test, and neither NaN nor inf is valid JSON.
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be a finite non-negative number")
-    return value
+# NaN passes every "< 0" test, and neither NaN nor inf is valid JSON.
+_seconds = _number(
+    float, lambda value: math.isfinite(value) and value >= 0, "must be a finite non-negative number"
+)
 
 
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
@@ -89,7 +87,8 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--assumed-year",
-        type=_year,
+        # datetime's range: a year outside it would make every fast line malformed.
+        type=_number(int, lambda value: 1 <= value <= 9999, "must be a year from 1 to 9999"),
         default=None,
         help="year for fast-format timestamps (the format carries none); required for fast input",
     )
@@ -136,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(sequence)
     sequence.add_argument(
         "--gap-seconds",
-        type=_non_negative_float,
+        type=_seconds,
         default=600.0,
         help="episode boundary: split where the gap exceeds this (default 600)",
     )
     sequence.add_argument(
         "--skew-seconds",
-        type=_non_negative_float,
+        type=_seconds,
         default=5.0,
         help="re-sort window for slightly out-of-order input (default 5)",
     )
@@ -159,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write pairwise attacker similarity CSV",
     )
-    sequence.add_argument("--ngram-n", type=_positive_int, default=2)
+    sequence.add_argument(
+        "--ngram-n", type=_number(int, lambda value: value >= 1, "must be >= 1"), default=2
+    )
     sequence.add_argument(
         "--uncollapsed-transitions",
         action="store_true",
@@ -216,12 +217,7 @@ def _cmd_taxonomy_export(args: argparse.Namespace) -> int:
 
 def _cmd_validate_mapping(args: argparse.Namespace) -> int:
     taxonomy = _load_active_taxonomy(args.taxonomy)
-    try:
-        spec, _ = _load_mapping_spec(args.mapping, taxonomy)
-    except MappingError as exc:
-        for finding in exc.findings:
-            print(f"finding: {finding}", file=sys.stderr)
-        return EXIT_INVALID
+    spec, _ = _load_mapping_spec(args.mapping, taxonomy)
     print(f"mapping OK: {len(spec.rules)} rules, spec_version {spec.spec_version}")
     return EXIT_OK
 

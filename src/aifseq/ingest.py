@@ -317,8 +317,8 @@ def _split_fast_line(line: str) -> tuple[tuple[str, ...], tuple | str, str, str]
     The timestamp is the six digit fields of ``MM/DD-HH:MM:SS.ffffff``. What
     lies between it and the last three whitespace-separated tokens
     ``SRC -> DST`` is the signature segment, the same text on every alert of
-    one signature; the signature is what ``_parse_fast_signature`` makes of
-    it, looked up once per distinct segment. None if the line is not a fast
+    one signature; the signature is what ``_fast_signature`` makes of it,
+    looked up once per distinct segment. None if the line is not a fast
     alert. Each step is linear in the line length.
     """
     stamp = _FAST_TIME_RE.match(line)
@@ -331,14 +331,18 @@ def _split_fast_line(line: str) -> tuple[tuple[str, ...], tuple | str, str, str]
     if len(segment) <= MEMO_TEXT_LIMIT:
         signature = _fast_signature(segment)
     else:
-        signature = _parse_fast_signature(segment)
+        signature = _fast_signature.__wrapped__(segment)
     if signature is None:
         return None
     return stamp.groups(), signature, parts[1], parts[3]
 
 
-def _parse_fast_signature(segment: str) -> tuple | str | None:
+@lru_cache(maxsize=4096)
+def _fast_signature(segment: str) -> tuple | str | None:
     """``(gid, sid, rev, severity, message, category, protocol)`` of a segment.
+
+    Memoized, so every alert of one signature shares the one tuple: its ints
+    and strings.
 
     ``segment`` runs from a fast line's timestamp to its protocol:
     ``  [**] [gid:sid:rev] MSG [**] [Classification: …] [Priority: N] {PROTO}``.
@@ -365,10 +369,6 @@ def _parse_fast_signature(segment: str) -> tuple | str | None:
         return int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
     except ValueError as exc:  # more digits than int() converts
         return f"invalid signature id or priority: {exc}"
-
-
-# Every alert of one signature shares the one tuple: its ints and strings.
-_fast_signature = lru_cache(maxsize=4096)(_parse_fast_signature)
 
 
 def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
@@ -585,7 +585,7 @@ def read_alert_stream(
                     else:
                         alert = parse_snort_fast_line(stripped, assumed_year, ref=ref)
                 except AlertParseError as exc:
-                    stats.record_error(ref, str(exc.args[0] if exc.args else exc))
+                    stats.record_error(ref, exc.args[0])
                     continue
                 stats.alerts_emitted += 1
                 yield alert

@@ -159,7 +159,8 @@ def build_sequences(
     if not skew_seconds >= 0:
         raise ValueError("skew_seconds must be non-negative")
 
-    groups: dict[tuple[str, ...], list[SequenceStep]] = {}
+    attacker = attrgetter(*fields)
+    groups: dict[str | tuple[str, ...], list[SequenceStep]] = {}
     max_ts = None
     max_ref = None
     for alert, verdict in classified:
@@ -175,15 +176,15 @@ def build_sequences(
             )
         if not include_unclassified and verdict.micro == SENTINEL_KEY:
             continue
-        value = (alert.src_ip,) if key_config == "src" else (alert.src_ip, alert.dst_ip)
         step = SequenceStep(ts, verdict.micro, verdict.macro, alert.raw_ref)
-        groups.setdefault(value, []).append(step)
+        groups.setdefault(attacker(alert), []).append(step)
 
     # A stable global sort followed by a partition orders each group exactly
     # like a stable sort of that group alone, so sorting per key is enough.
+    # One field groups by its bare string, which sorts as its 1-tuple does.
     sequences: list[AisSequence] = []
     for value in sorted(groups):
-        key = AttackerKey(key_fields=fields, value=value)
+        key = AttackerKey(key_fields=fields, value=value if len(fields) > 1 else (value,))
         episodes: list[Episode] = []
         current: list[SequenceStep] = []
         for step in sorted(groups[value], key=attrgetter("ts")):

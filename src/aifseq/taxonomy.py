@@ -33,7 +33,7 @@ SENTINEL_KEY = "unclassified"
 
 # Product/platform tokens that suggest a description is not service- and
 # platform-agnostic. Heuristic only: matches raise advisory lint findings,
-# never hard failures. Override via the ``denylist`` argument.
+# never hard failures.
 DEFAULT_PLATFORM_DENYLIST = (
     "Windows",
     "Linux",
@@ -61,6 +61,9 @@ DEFAULT_PLATFORM_DENYLIST = (
     "AWS",
     "Azure",
     "Sudo",
+)
+_DENYLIST_RE = re.compile(
+    rf"\b(?:{'|'.join(map(re.escape, DEFAULT_PLATFORM_DENYLIST))})\b", re.IGNORECASE
 )
 
 
@@ -141,16 +144,9 @@ class Taxonomy:
     micros: tuple[AisRecord, ...]
 
     @cached_property
-    def _macro_index(self) -> dict[str, AisRecord]:
-        index = {r.key: r for r in self.macros}
-        index[SENTINEL_KEY] = SENTINEL_MACRO
-        return index
-
-    @cached_property
-    def _micro_index(self) -> dict[str, AisRecord]:
-        index = {r.key: r for r in self.micros}
-        index[SENTINEL_KEY] = SENTINEL_MICRO
-        return index
+    def _records(self) -> dict[AisId, AisRecord]:
+        records = (SENTINEL_MACRO, SENTINEL_MICRO, *self.macros, *self.micros)
+        return {r.id: r for r in records}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
@@ -161,14 +157,12 @@ class Taxonomy:
         return {k: tuple(v) for k, v in children.items()}
 
     def has(self, level: AisLevel | str, key: str) -> bool:
-        index = self._macro_index if AisLevel(level) is AisLevel.MACRO else self._micro_index
-        return key in index
+        return AisId(AisLevel(level), key) in self._records
 
     def describe(self, level: AisLevel | str, key: str) -> AisRecord:
         """Full record for a key, sentinel included."""
-        index = self._macro_index if AisLevel(level) is AisLevel.MACRO else self._micro_index
         try:
-            return index[key]
+            return self._records[AisId(AisLevel(level), key)]
         except KeyError:
             raise UnknownAisKey(f"unknown {AisLevel(level).value} key {key!r}") from None
 
@@ -190,13 +184,6 @@ class Taxonomy:
         return tuple(r.key for r in self.micros)
 
 
-def _denylist_pattern(denylist: Sequence[str]) -> re.Pattern | None:
-    if not denylist:
-        return None
-    alternatives = "|".join(re.escape(token) for token in denylist)
-    return re.compile(rf"\b(?:{alternatives})\b", re.IGNORECASE)
-
-
 def _lint_entry(
     entry: Any,
     level: AisLevel,
@@ -204,7 +191,6 @@ def _lint_entry(
     macro_keys: set[str],
     seen: set[str],
     findings: list[LintFinding],
-    denylist_re: re.Pattern | None,
 ) -> None:
     def hard(code: str, message: str) -> None:
         findings.append(LintFinding("hard", code, location, message))
@@ -231,18 +217,16 @@ def _lint_entry(
     description = entry.get("description")
     if not isinstance(description, str) or not description.strip():
         hard("empty-description", "description must be non-empty text")
-    elif denylist_re is not None:
-        match = denylist_re.search(description)
-        if match:
-            findings.append(
-                LintFinding(
-                    "advisory",
-                    "platform-term",
-                    location,
-                    f"description mentions {match.group(0)!r}; micro states should "
-                    "stay service and platform agnostic",
-                )
+    elif match := _DENYLIST_RE.search(description):
+        findings.append(
+            LintFinding(
+                "advisory",
+                "platform-term",
+                location,
+                f"description mentions {match.group(0)!r}; micro states should "
+                "stay service and platform agnostic",
             )
+        )
 
     parent = entry.get("parent")
     if level is AisLevel.MACRO:
@@ -259,15 +243,13 @@ def _lint_entry(
         hard("invalid-original-name", "original_name must be text when present")
 
 
-def lint_document(
-    doc: Any, denylist: Sequence[str] = DEFAULT_PLATFORM_DENYLIST
-) -> list[LintFinding]:
+def lint_document(doc: Any) -> list[LintFinding]:
     """Lint a taxonomy document without raising.
 
     Structural problems (duplicate keys, dangling parents, empty
     descriptions, missing parents, reserved keys) are ``hard`` findings and
-    will make :func:`from_document` raise. Denylist matches in descriptions
-    are ``advisory`` findings and never block a load.
+    will make :func:`from_document` raise. ``DEFAULT_PLATFORM_DENYLIST``
+    matches in descriptions are ``advisory`` findings and never block a load.
     """
     findings: list[LintFinding] = []
     if not isinstance(doc, Mapping):
@@ -281,8 +263,6 @@ def lint_document(
         findings.append(
             LintFinding("hard", "missing-version", "version", "version must be non-empty text")
         )
-
-    denylist_re = _denylist_pattern(denylist)
 
     macro_entries = doc.get("macros")
     micro_entries = doc.get("micros")
@@ -305,20 +285,13 @@ def lint_document(
     seen_macros: set[str] = set()
     seen_micros: set[str] = set()
     for i, entry in enumerate(macro_entries):
-        _lint_entry(
-            entry, AisLevel.MACRO, f"macros[{i}]", macro_keys, seen_macros, findings, denylist_re
-        )
+        _lint_entry(entry, AisLevel.MACRO, f"macros[{i}]", macro_keys, seen_macros, findings)
     for i, entry in enumerate(micro_entries):
-        _lint_entry(
-            entry, AisLevel.MICRO, f"micros[{i}]", macro_keys, seen_micros, findings, denylist_re
-        )
+        _lint_entry(entry, AisLevel.MICRO, f"micros[{i}]", macro_keys, seen_micros, findings)
     return findings
 
 
-def validate_extension(
-    taxonomy_or_doc: Taxonomy | Mapping,
-    denylist: Sequence[str] = DEFAULT_PLATFORM_DENYLIST,
-) -> list[LintFinding]:
+def validate_extension(taxonomy_or_doc: Taxonomy | Mapping) -> list[LintFinding]:
     """Lint report for a taxonomy or raw document, superset-friendly.
 
     A built :class:`Taxonomy` is structurally valid by construction, so only
@@ -326,8 +299,8 @@ def validate_extension(
     findings without an exception.
     """
     if isinstance(taxonomy_or_doc, Taxonomy):
-        return lint_document(to_document(taxonomy_or_doc), denylist)
-    return lint_document(taxonomy_or_doc, denylist)
+        return lint_document(to_document(taxonomy_or_doc))
+    return lint_document(taxonomy_or_doc)
 
 
 def _record(entry: Mapping, level: AisLevel) -> AisRecord:
@@ -343,8 +316,7 @@ def _record(entry: Mapping, level: AisLevel) -> AisRecord:
 
 def from_document(doc: Mapping) -> Taxonomy:
     """Build a validated Taxonomy; raises TaxonomyError on hard findings."""
-    findings = lint_document(doc, denylist=())
-    hard = [f for f in findings if f.severity == "hard"]
+    hard = [f for f in lint_document(doc) if f.severity == "hard"]
     if hard:
         head = "; ".join(str(f) for f in hard[:3])
         more = f" (+{len(hard) - 3} more)" if len(hard) > 3 else ""

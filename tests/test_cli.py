@@ -307,7 +307,7 @@ def test_fast_format_with_year_classifies(capsys, tmp_path):
     assert record["ts"].startswith("2021-03-01T12:00:00")
 
 
-@pytest.mark.parametrize("year", ["0", "10000", "-5"])
+@pytest.mark.parametrize("year", ["0", "10000", "-5", "abc"])
 def test_assumed_year_outside_datetimes_range_is_a_usage_error(capsys, tmp_path, year):
     # Such a year made every fast line malformed in a run that exited 0.
     feed = tmp_path / "alerts.fast"
@@ -432,7 +432,7 @@ def test_sequence_out_of_order_exits_5(capsys, tmp_path):
     assert "skew" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
 @pytest.mark.parametrize("flag", ["--gap-seconds", "--skew-seconds"])
 def test_sequence_rejects_non_finite_thresholds(capsys, tmp_path, flag, value):
     # NaN passed the "< 0" check, silently re-sorted any disorder and wrote
@@ -442,6 +442,19 @@ def test_sequence_rejects_non_finite_thresholds(capsys, tmp_path, flag, value):
     code, _, err = run(capsys, "sequence", "--input", str(feed), "--out", str(tmp_path / "o"), flag, value)
     assert code == 2
     assert "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_ngram_n_below_one_or_not_a_number_is_a_usage_error(capsys, tmp_path, three_alert_feed, value):
+    # A non-number made argparse name the private type function in its message.
+    code, _, err = run(
+        capsys, "sequence", "--input", str(three_alert_feed), "--out", str(tmp_path / "o"),
+        "--ngram-n", value,
+    )
+    assert code == 2
+    assert "must be >= 1" in err
+    assert "invalid _" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -461,6 +474,7 @@ def test_main_runs_without_the_cyclic_gc_and_restores_the_callers_setting(
         (4, ["sequence", "--input", str(three_alert_feed), "--mapping", str(bad_mapping),
              "--out", str(tmp_path / "o4")]),
         (5, ["sequence", "--input", str(unsorted), "--out", str(tmp_path / "o5")]),
+        (4, ["validate-mapping", "--mapping", str(bad_mapping)]),
     ]
     seen = []
 

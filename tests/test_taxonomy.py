@@ -215,6 +215,8 @@ def test_validate_extension_flags_denylist_token():
     advisories = [f for f in findings if f.severity == "advisory" and "Kerberos" in f.message]
     assert advisories
     assert all(f.severity != "hard" for f in findings)
+    # An advisory finding never blocks a load.
+    assert from_document(doc).describe("micro", "kerberoast").display_name == "Kerberoast"
 
 
 def test_validate_extension_reports_empty_description_as_hard():
