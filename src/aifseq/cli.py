@@ -355,11 +355,12 @@ def _write_sequences_csv(path: Path, sequences) -> None:
             for ep_index, episode in enumerate(seq.episodes):
                 # ISO-8601 times never hold a comma, a quote, CR or LF.
                 prefix = f"{key},{ep_index},{episode.start.isoformat()},{episode.end.isoformat()},"
-                fh.writelines(
+                # One write per episode: writelines would call write once per row.
+                fh.write("".join(
                     f"{prefix}{step},{ts},{_csv_field(micro)},{_csv_field(macro)},"
                     f"{run},{_csv_field(ref)}\r\n"
                     for step, (ts, micro, macro, run, ref) in enumerate(episode_step_rows(episode))
-                )
+                ))
 
 
 def _write_similarity_csv(path: Path, sequences, method: str, n: int) -> None:

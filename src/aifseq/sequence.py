@@ -51,9 +51,15 @@ class AttackerKey:
         return "->".join(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SequenceStep:
-    """One classified alert inside an episode."""
+    """One classified alert inside an episode.
+
+    One is built per classified alert. Like ``RawRef`` it is not frozen, for
+    construction speed. It still compares and hashes by value, so frozen
+    ``Episode`` and ``AisSequence`` hash through their steps. Assigning to a
+    field does not raise, but the library never does it.
+    """
 
     ts: object  # datetime; kept loose so tests can build steps directly
     micro: str

@@ -627,3 +627,33 @@ def test_sequence_export_shape():
     assert first["steps"][1]["run_length"] == 1
     ref = first["steps"][0]["alert_ref"]
     assert ref.startswith("test:")
+
+
+def test_per_alert_records_are_slot_values():
+    """``RawRef`` and ``SequenceStep`` compare, hash and print by value, in slots."""
+    ref = RawRef("a", 1)
+    step = SequenceStep(at(0), "host_discovery", "active_recon", ref)
+    cases = [
+        (ref, RawRef("a", 1), RawRef("a", 2)),
+        (step, SequenceStep(at(0), "host_discovery", "active_recon", RawRef("a", 1)),
+         SequenceStep(at(0), "host_discovery", "active_recon", RawRef("b", 1))),
+    ]
+    for record, same, other in cases:
+        assert record == same and hash(record) == hash(same)
+        assert record != other
+        assert not hasattr(record, "__dict__")
+        assert not isinstance(record, tuple)
+    assert repr(ref) == "RawRef(source='a', index=1)"
+    assert repr(step) == (
+        f"SequenceStep(ts={at(0)!r}, micro='host_discovery', macro='active_recon', "
+        "alert_ref=RawRef(source='a', index=1))"
+    )
+    assert str(ref) == "a:1"
+
+    stream = [pair(0), pair(1, micro="service_discovery"), pair(2, src="10.0.0.9"), pair(1000)]
+    seqs = build_sequences(stream, gap_threshold=600)
+    assert len(seqs) == 2
+    for seq in seqs:
+        hash(seq)
+        for episode in seq.episodes:
+            hash(episode)
