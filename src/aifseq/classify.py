@@ -22,19 +22,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert
 from aifseq.taxonomy import SENTINEL_KEY, Taxonomy
-
-_PREDICATE_KEYS = (
-    "category_equals",
-    "msg_contains_all",
-    "msg_regex",
-    "sid_in",
-    "gid_equals",
-    "severity_at_most",
-)
 
 # Distinct verdict keys one stream's memo holds before it starts over.
 _VERDICT_MEMO_SIZE = 4096
@@ -68,45 +59,25 @@ class Classification:
 
 @dataclass(frozen=True)
 class MappingRule:
-    """One classification rule: a predicate conjunction and its verdict."""
+    """One classification rule: a predicate conjunction and its verdict.
+
+    ``predicates`` holds ``(name, compiled value)`` pairs in ``_PREDICATES`` order.
+    """
 
     rule_id: str
     priority: int
     target_micro: str
     verdict: Classification
-    category_equals: str | None = None
-    msg_contains_all: tuple[str, ...] | None = None
-    msg_regex: re.Pattern[str] | None = None
-    sid_in: tuple[tuple[int, int], ...] | None = None
-    gid_equals: int | None = None
-    severity_at_most: int | None = None
+    predicates: tuple[tuple[str, Any], ...]
 
-    @cached_property
+    @property
     def predicate_count(self) -> int:
-        return sum(getattr(self, name) is not None for name in _PREDICATE_KEYS)
+        return len(self.predicates)
 
     def matches(self, alert: NormalizedAlert, msg_lower: str) -> bool:
-        if self.category_equals is not None and alert.category != self.category_equals:
-            return False
-        if self.msg_contains_all is not None:
-            for token in self.msg_contains_all:
-                if token not in msg_lower:
-                    return False
-        if self.msg_regex is not None and self.msg_regex.search(alert.signature_msg) is None:
-            return False
-        if self.sid_in is not None:
-            sid = alert.signature_id
-            for lo, hi in self.sid_in:
-                if lo <= sid <= hi:
-                    break
-            else:
+        for name, value in self.predicates:
+            if not _PREDICATES[name][1](alert, msg_lower, value):
                 return False
-        if self.gid_equals is not None and alert.generator_id != self.gid_equals:
-            return False
-        if self.severity_at_most is not None and (
-            alert.severity is None or alert.severity > self.severity_at_most
-        ):
-            return False
         return True
 
 
@@ -138,119 +109,122 @@ def _valid_confidence(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= 1
 
 
-def _parse_sid_ranges(value: Any, where: str, findings: list[str]) -> tuple[tuple[int, int], ...] | None:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(valid: Callable[[Any], Any], message: str) -> Callable[[Any], Any]:
+    """A parse that returns a value ``valid`` accepts and raises ``message`` otherwise."""
+
+    def parse(value: Any) -> Any:
+        if not valid(value):
+            raise ValueError(message)
+        return value
+
+    return parse
+
+
+def _tokens(value: Any) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value or not all(isinstance(t, str) and t for t in value):
+        raise ValueError("msg_contains_all must be a non-empty list of tokens")
+    return tuple(t.lower() for t in value)
+
+
+def _regex(value: Any) -> re.Pattern[str]:
+    if not isinstance(value, str):
+        raise ValueError("msg_regex must be text")
+    try:
+        return re.compile(value)
+    except re.error as exc:
+        raise ValueError(f"invalid regex: {exc}") from None
+
+
+def _sid_ranges(value: Any) -> tuple[tuple[int, int], ...]:
     if not isinstance(value, list) or not value:
-        findings.append(f"{where}: sid_in must be a non-empty list")
-        return None
-    ranges: list[tuple[int, int]] = []
+        raise ValueError("sid_in must be a non-empty list")
+    ranges = []
     for item in value:
-        if isinstance(item, int) and not isinstance(item, bool):
-            ranges.append((item, item))
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(b, int) and not isinstance(b, bool) for b in item)
-            and item[0] <= item[1]
+        pair = [item, item] if _is_int(item) else item  # a sid is the range [sid, sid]
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)) and pair[0] <= pair[1]
         ):
-            ranges.append((item[0], item[1]))
-        else:
-            findings.append(f"{where}: sid_in entry {item!r} is not a sid or [lo, hi] pair")
-            return None
+            raise ValueError(f"sid_in entry {item!r} is not a sid or [lo, hi] pair")
+        ranges.append((pair[0], pair[1]))
     return tuple(ranges)
 
 
-def _parse_rule(
-    raw: Any, index: int, taxonomy: Taxonomy, default_confidence: float, findings: list[str]
-) -> MappingRule | None:
-    where = f"rules[{index}]"
-    if not isinstance(raw, dict):
-        findings.append(f"{where}: rule is not an object")
-        return None
+# Every predicate a rule's ``match`` may hold: name -> (parse, test). parse
+# compiles a document value or raises ValueError with the finding text;
+# test(alert, msg_lower, value) decides the predicate. Rules validate and
+# test their predicates in this order.
+_PREDICATES: dict[str, tuple[Callable[[Any], Any], Callable[[NormalizedAlert, str, Any], bool]]] = {
+    "category_equals": (
+        _checked(lambda v: isinstance(v, str) and v, "category_equals must be non-empty text"),
+        lambda alert, msg_lower, category: alert.category == category,
+    ),
+    "msg_contains_all": (
+        _tokens,
+        lambda alert, msg_lower, tokens: all(token in msg_lower for token in tokens),
+    ),
+    "msg_regex": (
+        _regex,
+        lambda alert, msg_lower, pattern: pattern.search(alert.signature_msg) is not None,
+    ),
+    "sid_in": (
+        _sid_ranges,
+        lambda alert, msg_lower, ranges: any(lo <= alert.signature_id <= hi for lo, hi in ranges),
+    ),
+    "gid_equals": (
+        _checked(_is_int, "gid_equals must be an integer"),
+        lambda alert, msg_lower, gid: alert.generator_id == gid,
+    ),
+    "severity_at_most": (
+        _checked(lambda v: _is_int(v) and v >= 1, "severity_at_most must be a positive integer"),
+        lambda alert, msg_lower, most: alert.severity is not None and alert.severity <= most,
+    ),
+}
 
-    rule_id = raw.get("rule_id")
-    if not isinstance(rule_id, str) or not rule_id:
-        findings.append(f"{where}: rule_id must be non-empty text")
-        return None
-    where = f"rules[{index}] ({rule_id})"
+
+def _rule_id(raw: Any) -> str | None:
+    """A rule document's rule_id if it is non-empty text, else None."""
+    rule_id = raw.get("rule_id") if isinstance(raw, dict) else None
+    return rule_id if isinstance(rule_id, str) and rule_id else None
+
+
+def _parse_rule(raw: Any, taxonomy: Taxonomy, default_confidence: float) -> MappingRule:
+    """Compile one rule document; raises ValueError with its first fault's finding text."""
+    if not isinstance(raw, dict):
+        raise ValueError("rule is not an object")
+    rule_id = _rule_id(raw)
+    if rule_id is None:
+        raise ValueError("rule_id must be non-empty text")
 
     priority = raw.get("priority")
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        findings.append(f"{where}: priority must be an integer")
-        return None
+    if not _is_int(priority):
+        raise ValueError("priority must be an integer")
 
     target = raw.get("target_micro")
-    if not isinstance(target, str) or not (
-        target == SENTINEL_KEY or taxonomy.has("micro", target)
-    ):
-        findings.append(f"{where}: unknown target micro {target!r}")
-        return None
+    if not isinstance(target, str) or not (target == SENTINEL_KEY or taxonomy.has("micro", target)):
+        raise ValueError(f"unknown target micro {target!r}")
 
     confidence = raw.get("confidence")
     if confidence is not None and not _valid_confidence(confidence):
-        findings.append(f"{where}: confidence must be in (0, 1]")
-        return None
+        raise ValueError("confidence must be in (0, 1]")
 
     match = raw.get("match")
     if not isinstance(match, dict) or not match:
-        findings.append(f"{where}: match must hold at least one predicate")
-        return None
-    unknown = set(match) - set(_PREDICATE_KEYS)
+        raise ValueError("match must hold at least one predicate")
+    unknown = match.keys() - _PREDICATES.keys()
     if unknown:
-        findings.append(f"{where}: unknown predicate {sorted(unknown)[0]!r}")
-        return None
-
-    fields: dict[str, Any] = {}
-    if "category_equals" in match:
-        value = match["category_equals"]
-        if not isinstance(value, str) or not value:
-            findings.append(f"{where}: category_equals must be non-empty text")
-            return None
-        fields["category_equals"] = value
-    if "msg_contains_all" in match:
-        value = match["msg_contains_all"]
-        if (
-            not isinstance(value, list)
-            or not value
-            or not all(isinstance(t, str) and t for t in value)
-        ):
-            findings.append(f"{where}: msg_contains_all must be a non-empty list of tokens")
-            return None
-        fields["msg_contains_all"] = tuple(t.lower() for t in value)
-    if "msg_regex" in match:
-        value = match["msg_regex"]
-        if not isinstance(value, str):
-            findings.append(f"{where}: msg_regex must be text")
-            return None
-        try:
-            fields["msg_regex"] = re.compile(value)
-        except re.error as exc:
-            findings.append(f"{where}: invalid regex: {exc}")
-            return None
-    if "sid_in" in match:
-        ranges = _parse_sid_ranges(match["sid_in"], where, findings)
-        if ranges is None:
-            return None
-        fields["sid_in"] = ranges
-    if "gid_equals" in match:
-        value = match["gid_equals"]
-        if not isinstance(value, int) or isinstance(value, bool):
-            findings.append(f"{where}: gid_equals must be an integer")
-            return None
-        fields["gid_equals"] = value
-    if "severity_at_most" in match:
-        value = match["severity_at_most"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            findings.append(f"{where}: severity_at_most must be a positive integer")
-            return None
-        fields["severity_at_most"] = value
-
-    verdict = Classification(
-        micro=target,
-        macro=taxonomy.macro_of(target),
-        matched_rule=rule_id if target != SENTINEL_KEY else None,
-        confidence=float(default_confidence if confidence is None else confidence),
+        raise ValueError(f"unknown predicate {sorted(unknown)[0]!r}")
+    predicates = tuple(
+        (name, parse(match[name])) for name, (parse, _) in _PREDICATES.items() if name in match
     )
-    return MappingRule(rule_id=rule_id, priority=priority, target_micro=target, verdict=verdict, **fields)
+
+    matched_rule = rule_id if target != SENTINEL_KEY else None
+    confidence = float(default_confidence if confidence is None else confidence)
+    verdict = Classification(target, taxonomy.macro_of(target), matched_rule, confidence)
+    return MappingRule(rule_id, priority, target, verdict, predicates)
 
 
 def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
@@ -281,8 +255,12 @@ def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
     else:
         seen: set[str] = set()
         for index, raw in enumerate(raw_rules):
-            rule = _parse_rule(raw, index, taxonomy, default_confidence, findings)
-            if rule is None:
+            try:
+                rule = _parse_rule(raw, taxonomy, default_confidence)
+            except ValueError as exc:
+                rule_id = _rule_id(raw)
+                where = f"rules[{index}]" if rule_id is None else f"rules[{index}] ({rule_id})"
+                findings.append(f"{where}: {exc}")
                 continue
             if rule.rule_id in seen:
                 findings.append(f"rules[{index}]: duplicate rule_id {rule.rule_id!r}")
@@ -292,11 +270,7 @@ def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
 
     if findings:
         raise MappingError(findings)
-    return MappingSpec(
-        spec_version=spec_version,
-        default_confidence=float(default_confidence),
-        rules=tuple(rules),
-    )
+    return MappingSpec(spec_version, float(default_confidence), tuple(rules))
 
 
 def classify_alert(alert: NormalizedAlert, spec: MappingSpec, taxonomy: Taxonomy) -> Classification:

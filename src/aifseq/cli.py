@@ -177,10 +177,9 @@ def _load_active_taxonomy(path: str | None):
 def _load_mapping_spec(path: str | None, taxonomy):
     if path is None:
         return load_mapping(starter_mapping_document(), taxonomy), "builtin:starter"
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, too many digits
         raise MappingError([f"{path} is not valid JSON: {exc}"]) from None
     return load_mapping(document, taxonomy), path
 

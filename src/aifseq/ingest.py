@@ -353,8 +353,8 @@ def _fast_signature(segment: str) -> tuple | str | None:
     ``segment`` runs from a fast line's timestamp to its protocol:
     ``  [**] [gid:sid:rev] MSG [**] [Classification: …] [Priority: N] {PROTO}``.
     None if it does not have that shape. An id or priority with more digits
-    than ``int()`` converts gives the error message instead of raising, so
-    the caller can report a bad timestamp first.
+    than ``int()`` converts, or a priority below 1, gives the error message
+    instead of raising, so the caller can report a bad timestamp first.
     """
     ids = _FAST_IDS_RE.match(segment)
     if ids is None:
@@ -372,9 +372,12 @@ def _fast_signature(segment: str) -> tuple | str | None:
     gid, sid, rev = ids.groups()
     try:
         severity = int(priority) if priority is not None else None
-        return int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
+        signature = int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
     except ValueError as exc:  # more digits than int() converts
         return f"invalid signature id or priority: {exc}"
+    if severity is not None and severity < 1:  # as EVE's alert.severity
+        return f"invalid priority {priority!r}"
+    return signature
 
 
 def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:

@@ -363,8 +363,8 @@ def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxo
 
     ``None`` or ``"builtin"`` selects the embedded catalog. A string or Path
     is read as a JSON file; a mapping is treated as an already-parsed
-    document. Raises TaxonomyError on invalid documents and OSError on
-    unreadable paths.
+    document. Raises TaxonomyError on invalid documents, a file the JSON
+    parser rejects included, and OSError on unreadable paths.
     """
     if source is None or source == "builtin":
         return builtin_taxonomy()
@@ -372,9 +372,8 @@ def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxo
         return source
     if isinstance(source, Mapping):
         return from_document(source)
-    text = Path(source).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, too many digits
         raise TaxonomyError(f"taxonomy file is not valid JSON: {exc}") from exc
     return from_document(doc)

@@ -316,6 +316,147 @@ def test_duplicate_detection_counts_parsed_rules():
     assert sum("duplicate" in f for f in info.value.findings) == 2
 
 
+OK_MATCH = {"category_equals": "X"}
+
+
+@pytest.mark.parametrize(
+    "doc, findings",
+    [
+        pytest.param([1], ["document is not an object"], id="document_not_object"),
+        pytest.param(
+            make_doc([], spec_version=""), ["spec_version must be non-empty text"], id="spec_version"
+        ),
+        pytest.param(
+            make_doc([], default_confidence=0), ["default_confidence must be in (0, 1]"],
+            id="default_confidence",
+        ),
+        pytest.param(make_doc({}), ["rules must be a list"], id="rules_not_a_list"),
+        pytest.param(
+            {"rules": "x"},
+            [
+                "spec_version must be non-empty text",
+                "default_confidence must be in (0, 1]",
+                "rules must be a list",
+            ],
+            id="every_document_fault",
+        ),
+        pytest.param(make_doc(["r"]), ["rules[0]: rule is not an object"], id="rule_not_object"),
+        pytest.param(
+            make_doc([rule("", OK_MATCH, "host_discovery")]),
+            ["rules[0]: rule_id must be non-empty text"],
+            id="rule_id",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", OK_MATCH, "host_discovery", priority=True)]),
+            ["rules[0] (r-x): priority must be an integer"],
+            id="priority",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", OK_MATCH, "pwn_everything")]),
+            ["rules[0] (r-x): unknown target micro 'pwn_everything'"],
+            id="unknown_target",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", OK_MATCH, "privilege_escalation")]),
+            ["rules[0] (r-x): unknown target micro 'privilege_escalation'"],
+            id="macro_target",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", OK_MATCH, "host_discovery", confidence=1.5)]),
+            ["rules[0] (r-x): confidence must be in (0, 1]"],
+            id="confidence",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {}, "host_discovery")]),
+            ["rules[0] (r-x): match must hold at least one predicate"],
+            id="empty_match",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"msg_startswith": "ET", "zeta": 1, **OK_MATCH}, "host_discovery")]),
+            ["rules[0] (r-x): unknown predicate 'msg_startswith'"],
+            id="unknown_predicate",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"category_equals": ""}, "host_discovery")]),
+            ["rules[0] (r-x): category_equals must be non-empty text"],
+            id="category_equals",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"msg_contains_all": ["scan", ""]}, "host_discovery")]),
+            ["rules[0] (r-x): msg_contains_all must be a non-empty list of tokens"],
+            id="msg_contains_all",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"msg_regex": 5}, "host_discovery")]),
+            ["rules[0] (r-x): msg_regex must be text"],
+            id="msg_regex_not_text",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"msg_regex": "["}, "host_discovery")]),
+            ["rules[0] (r-x): invalid regex: unterminated character set at position 0"],
+            id="msg_regex_does_not_compile",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"sid_in": []}, "host_discovery")]),
+            ["rules[0] (r-x): sid_in must be a non-empty list"],
+            id="sid_in_empty",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"sid_in": [1, [10, 5], "x"]}, "host_discovery")]),
+            ["rules[0] (r-x): sid_in entry [10, 5] is not a sid or [lo, hi] pair"],
+            id="sid_in_bad_entry",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"gid_equals": "1"}, "host_discovery")]),
+            ["rules[0] (r-x): gid_equals must be an integer"],
+            id="gid_equals",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"severity_at_most": 0}, "host_discovery")]),
+            ["rules[0] (r-x): severity_at_most must be a positive integer"],
+            id="severity_at_most",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"severity_at_most": 0, "category_equals": 1}, "host_discovery")]),
+            ["rules[0] (r-x): category_equals must be non-empty text"],
+            id="first_bad_predicate_in_predicate_order",
+        ),
+        pytest.param(
+            make_doc(
+                [
+                    rule("r1", OK_MATCH, "host_discovery"),
+                    rule("r1", {"category_equals": "Y"}, "service_discovery"),
+                ]
+            ),
+            ["rules[1]: duplicate rule_id 'r1'"],
+            id="duplicate_rule_id",
+        ),
+        pytest.param(
+            make_doc(
+                [
+                    rule("r1", {}, "host_discovery"),
+                    rule("r2", OK_MATCH, "nope"),
+                    rule("r3", OK_MATCH, "host_discovery"),
+                    rule("r3", OK_MATCH, "host_discovery"),
+                ],
+                default_confidence="x",
+            ),
+            [
+                "default_confidence must be in (0, 1]",
+                "rules[0] (r1): match must hold at least one predicate",
+                "rules[1] (r2): unknown target micro 'nope'",
+                "rules[3]: duplicate rule_id 'r3'",
+            ],
+            id="every_rule_reported_in_order",
+        ),
+    ],
+)
+def test_mapping_findings_are_pinned(doc, findings):
+    with pytest.raises(MappingError) as info:
+        load_mapping(doc, TAX)
+    assert info.value.findings == findings
+
+
 def test_classify_stream_is_order_preserving_and_total():
     spec = load_mapping(ADMIN_DOC, TAX)
     alerts = [

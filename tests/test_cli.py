@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -238,6 +239,34 @@ def test_classify_invalid_mapping_exits_4(capsys, tmp_path, three_alert_feed):
     )
     assert code == 4
     assert "finding:" in err
+
+
+BAD_JSON_FILES = {
+    "not_utf8": b"\xff\xfe{}",
+    "nested_too_deeply": b"[" * 100_000,
+    "integer_too_long": b'{"n": ' + b"1" * 5_000 + b"}",
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["validate-mapping --mapping", "classify --mapping", "classify --taxonomy", "taxonomy show --taxonomy"],
+)
+@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
+def test_config_file_the_json_parser_rejects_exits_4(capsys, tmp_path, three_alert_feed, command, content):
+    # A decode error, a RecursionError or an over-long integer escaped the
+    # loaders, which caught only JSONDecodeError, and ended in a traceback.
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    *argv, flag = command.split()
+    if argv[0] == "classify":
+        argv += ["--input", str(three_alert_feed), "--out", str(tmp_path / "o")]
+    code, _, err = run(capsys, *argv, flag, str(config))
+    assert code == 4
+    assert "Traceback" not in err
+    assert ("finding: " if flag == "--mapping" else "error: ") in err
+    assert "is not valid JSON" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_classify_csv_output(capsys, tmp_path, three_alert_feed):
@@ -586,6 +615,20 @@ def test_golden_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
     assert written == set(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_golden_fixture_regenerates_from_its_script(capsys, tmp_path, monkeypatch):
+    # The pinned digests above rest on the checked-in fixture; the script
+    # that wrote it must still write the same bytes.
+    spec = importlib.util.spec_from_file_location(
+        "generate_golden_scenario", REPO / "scripts" / "generate_golden_scenario.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path / GOLDEN.name)
+    script.main()
+    assert "wrote 205 events" in capsys.readouterr().out
+    assert (tmp_path / GOLDEN.name).read_bytes() == GOLDEN.read_bytes()
 
 
 def test_traced_benchmark_run_drives_the_cli(tmp_path):

@@ -7,6 +7,7 @@ import io
 import json
 import re
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from functools import lru_cache
 
@@ -576,6 +577,29 @@ def test_fast_line_with_two_faults_reports_the_first(bad_line, reason):
     alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019, source_name="feed")
     assert list(alerts) == []
     assert stats.first_error_samples == [("feed:1", reason)]
+
+
+def test_priority_zero_is_malformed_in_both_formats():
+    # Fast "[Priority: 0]" parsed while EVE "severity: 0" was malformed, so the
+    # same observable parsed in one wire format and not in the other.
+    zero = FAST_LINE.replace("Priority: 2", "Priority: 0")
+    alerts, stats = read_alert_stream([zero, FAST_LINE], fmt="snort_fast", assumed_year=2019, source_name="feed")
+    assert [alert.severity for alert in alerts] == [2]
+    assert stats.malformed == 1
+    assert stats.first_error_samples == [("feed:1", "invalid priority '0'")]
+
+    alert = replace(parse_snort_fast_line(FAST_LINE, assumed_year=2019), severity=0)
+    with pytest.raises(AlertParseError, match="priority"):
+        parse_snort_fast_line(render_snort_fast_line(alert), assumed_year=2019)
+    with pytest.raises(AlertParseError, match="severity"):
+        parse_eve_record(render_eve_record(alert))
+
+
+def test_fast_line_with_a_bad_timestamp_and_priority_zero_reports_the_timestamp():
+    bad_line = FAST_LINE.replace("05/01", "02/30").replace("Priority: 2", "Priority: 0")
+    alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019, source_name="feed")
+    assert list(alerts) == []
+    assert stats.first_error_samples == [("feed:1", "invalid timestamp: day is out of range for month")]
 
 
 @pytest.mark.parametrize("fmt", ["eve", "snort_fast"])
