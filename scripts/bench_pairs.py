@@ -30,7 +30,9 @@ bytecode, which moves ``setup_s`` and peak RSS), every
 run's end-to-end values, each side's median and quartiles, and per metric
 the number of pairs the change won (ties count for neither) and whether
 that is a gain: at least nine wins in ten and medians further apart than
-the parent's quartiles. The file is rewritten after every pair, so an
+the parent's quartiles. The gated ``setup_s`` is raw wall time, so it
+follows the machine's speed; each run also keeps it divided by its
+reference pass (``setup_ref``), summarized the same way but not gated. The file is rewritten after every pair, so an
 interrupted session keeps what it measured. The script exits 1 if any run
 was not correct.
 """
@@ -89,11 +91,14 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool = False) -> dict:
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                   "error": proc.stderr[-2000:]}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    setup = metrics.get("setup_s")
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "metrics": metrics,
+        "setup_ref": setup / reference if setup is not None and reference else None,
         "reference_s": reference,
         "environment": env,
         **({"error": result["error"]} if "error" in result else {}),
@@ -114,20 +119,27 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary = {"pairs": len(complete)}
     if not complete:
         return summary
-    for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
-        base = [p["base"]["metrics"][name] for p in complete]
-        head = [p["head"]["metrics"][name] for p in complete]
+
+    def compare(value, lower: bool) -> dict:
+        base = [value(p["base"]) for p in complete]
+        head = [value(p["head"]) for p in complete]
         wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
-        entry = {"unit": metric["unit"], "bound": metric["bound"], "base": base, "head": head,
-                 "head_wins": wins}
+        entry = {"base": base, "head": head, "head_wins": wins}
         if len(complete) >= 2:
             entry["base_stats"], entry["head_stats"] = b, h = spread(base), spread(head)
             # The gain rule: the change wins nine pairs in ten, and the medians
             # differ by more than the parent's quartile spread.
             gap = b["median"] - h["median"] if lower else h["median"] - b["median"]
             entry["gain"] = wins >= 0.9 * len(complete) and gap > b["q3"] - b["q1"]
-        summary[name] = entry
+        return entry
+
+    for metric in metrics:
+        name = metric["name"]
+        summary[name] = {"unit": metric["unit"], "bound": metric["bound"],
+                         **compare(lambda run: run["metrics"][name], metric["better"] == "lower")}
+    if all(p[side]["setup_ref"] is not None for p in complete for side in p):
+        summary["setup_ref"] = {"unit": "ref", "gated": False,
+                                **compare(lambda run: run["setup_ref"], True)}
     return summary
 
 

@@ -135,8 +135,25 @@ def _regex(value: Any) -> re.Pattern[str]:
         raise ValueError("msg_regex must be text")
     try:
         return re.compile(value)
-    except re.error as exc:
+    except (re.error, OverflowError) as exc:  # OverflowError: a number past the engine's limits
         raise ValueError(f"invalid regex: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid regex: nested too deeply") from None
+
+
+def _contains_all(alert: NormalizedAlert, msg_lower: str, tokens: tuple[str, ...]) -> bool:
+    for token in tokens:
+        if token not in msg_lower:
+            return False
+    return True
+
+
+def _sid_in(alert: NormalizedAlert, msg_lower: str, ranges: tuple[tuple[int, int], ...]) -> bool:
+    sid = alert.signature_id
+    for lo, hi in ranges:
+        if lo <= sid <= hi:
+            return True
+    return False
 
 
 def _sid_ranges(value: Any) -> tuple[tuple[int, int], ...]:
@@ -156,24 +173,20 @@ def _sid_ranges(value: Any) -> tuple[tuple[int, int], ...]:
 # Every predicate a rule's ``match`` may hold: name -> (parse, test). parse
 # compiles a document value or raises ValueError with the finding text;
 # test(alert, msg_lower, value) decides the predicate. Rules validate and
-# test their predicates in this order.
+# test their predicates in this order. The two tests that loop are named
+# functions: with a generator in all() or any(), an uncached rule scan
+# took about twice as long.
 _PREDICATES: dict[str, tuple[Callable[[Any], Any], Callable[[NormalizedAlert, str, Any], bool]]] = {
     "category_equals": (
         _checked(lambda v: isinstance(v, str) and v, "category_equals must be non-empty text"),
         lambda alert, msg_lower, category: alert.category == category,
     ),
-    "msg_contains_all": (
-        _tokens,
-        lambda alert, msg_lower, tokens: all(token in msg_lower for token in tokens),
-    ),
+    "msg_contains_all": (_tokens, _contains_all),
     "msg_regex": (
         _regex,
         lambda alert, msg_lower, pattern: pattern.search(alert.signature_msg) is not None,
     ),
-    "sid_in": (
-        _sid_ranges,
-        lambda alert, msg_lower, ranges: any(lo <= alert.signature_id <= hi for lo, hi in ranges),
-    ),
+    "sid_in": (_sid_ranges, _sid_in),
     "gid_equals": (
         _checked(_is_int, "gid_equals must be an integer"),
         lambda alert, msg_lower, gid: alert.generator_id == gid,

@@ -39,10 +39,6 @@ _FAST_TIME_RE = re.compile(r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})")
 _FAST_IDS_RE = re.compile(r"\s+\[\*\*\]\s+\[(\d+):(\d+):(\d+)\]")
 _FAST_BLOCKS_RE = re.compile(r"(?:\s+\[Classification:([^\]]*)\])?(?:\s+\[Priority:\s*(\d+)\])?")
 
-# Offsets like +0000 (no colon) predate the +00:00 spelling Python parses
-# natively on 3.10; both occur in real EVE logs.
-_COMPACT_OFFSET_RE = re.compile(r"([+-]\d{2})(\d{2})$")
-
 _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year field)"
 
 # An IDS stream repeats a few addresses and signatures many times, so the
@@ -174,14 +170,12 @@ class IngestStats:
 def _parse_timestamp(text: Any, ref: RawRef) -> datetime:
     if not isinstance(text, str):
         raise AlertParseError(f"invalid timestamp {text!r}", ref)
+    # The grammar is datetime.fromisoformat's from Python 3.11 on, which
+    # takes Suricata's +0000 offset as well as +00:00 and Z.
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
-        fixed = _COMPACT_OFFSET_RE.sub(r"\1:\2", text.replace("Z", "+00:00"))
-        try:
-            ts = datetime.fromisoformat(fixed)
-        except ValueError:
-            raise AlertParseError(f"unparseable timestamp {text!r}", ref) from None
+        raise AlertParseError(f"unparseable timestamp {text!r}", ref) from None
     if ts.tzinfo is None:
         raise AlertParseError(f"timestamp {text!r} has no UTC offset", ref)
     try:
@@ -223,6 +217,34 @@ def _check_address(value: Any, what: str, ref: RawRef) -> str:
     return address
 
 
+# The C scanner behind json.loads, without its wrapper: it decodes a line that
+# is one JSON value and nothing else.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_value(line: str, ref: RawRef) -> Any:
+    """The JSON value one EVE line holds.
+
+    A line the scanner does not take whole (surrounding whitespace, a BOM,
+    trailing data, any fault) goes to ``json.loads``, which decides it and
+    words the error.
+    """
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, TypeError, ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise AlertParseError(f"malformed JSON: {exc.msg}", ref) from None
+    except RecursionError:
+        raise AlertParseError("malformed JSON: nested too deeply", ref) from None
+    except ValueError as exc:  # an integer literal with more digits than int() converts
+        raise AlertParseError(f"malformed JSON: {exc}", ref) from None
+
+
 def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAlert | None:
     """Parse one EVE JSON record; None for non-alert events.
 
@@ -231,14 +253,7 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
     or falls outside the datetime range in UTC. Unknown EVE fields are
     ignored.
     """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise AlertParseError(f"malformed JSON: {exc.msg}", ref) from None
-    except RecursionError:
-        raise AlertParseError("malformed JSON: nested too deeply", ref) from None
-    except ValueError as exc:  # an integer literal with more digits than int() converts
-        raise AlertParseError(f"malformed JSON: {exc}", ref) from None
+    record = _json_value(line, ref)
     if not isinstance(record, dict):
         raise AlertParseError("record is not a JSON object", ref)
     if record.get("event_type") != "alert":
@@ -247,7 +262,51 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
     alert = record.get("alert")
     if not isinstance(alert, dict):
         raise AlertParseError("alert object missing", ref)
+    try:
+        ts, src, dst, proto = record["timestamp"], record["src_ip"], record["dest_ip"], record["proto"]
+        sid, msg = alert["signature_id"], alert["signature"]
+    except KeyError:
+        return _checked_eve_alert(record, alert, ref)
+    timestamp = _parse_timestamp(ts, ref)
+    gid, rev = alert.get("gid", 1), alert.get("rev", 0)
+    category, severity = alert.get("category"), alert.get("severity")
+    src_port, dst_port = record.get("src_port"), record.get("dest_port")
 
+    # JSON yields exact types, so one test of classes and ranges, in field
+    # order, passes the common record and fails a bool, which is an int
+    # subclass. A record it fails goes through the per-field checks, which
+    # find its first fault and word the error.
+    if not (
+        src.__class__ is str and (src_ip := _memo(_valid_ip, src)) is not None
+        and dst.__class__ is str and (dst_ip := _memo(_valid_ip, dst)) is not None
+        and proto.__class__ is str and proto
+        and (
+            (protocol := _memo(_shared, proto.upper())) not in _PORTFUL_PROTOCOLS
+            or src_port.__class__ is int and 0 <= src_port <= 65535
+            and dst_port.__class__ is int and 0 <= dst_port <= 65535
+        )
+        and sid.__class__ is int and sid >= 0
+        and gid.__class__ is int and gid >= 0
+        and rev.__class__ is int and rev >= 0
+        and msg.__class__ is str
+        and (category is None or category.__class__ is str)
+        and (severity is None or severity.__class__ is int and severity >= 1)
+    ):
+        return _checked_eve_alert(record, alert, ref)
+    if protocol not in _PORTFUL_PROTOCOLS:
+        src_port = dst_port = None
+    return NormalizedAlert(
+        timestamp, src_ip, src_port, dst_ip, dst_port, protocol, gid, sid, rev,
+        _memo(_shared, msg), _memo(_shared, category) if category else None, severity, EVE_FORMAT, ref,
+    )
+
+
+def _checked_eve_alert(record: dict, alert: dict, ref: RawRef) -> NormalizedAlert:
+    """The alert of an EVE alert record, checked field by field in order.
+
+    ``parse_eve_record`` sends here every record its one test fails; this
+    decides which fault it reports first, and with what text.
+    """
     for name in ("timestamp", "src_ip", "dest_ip", "proto"):
         if name not in record:
             raise AlertParseError(f"mandatory field {name!r} missing", ref)

@@ -308,28 +308,6 @@ def extract_ngrams(steps: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
     return Counter(tuple(labels[i : i + n]) for i in range(len(labels) - n + 1))
 
 
-def _lcs_length(x: AisSequence, y: AisSequence) -> int:
-    """LCS length of the flattened collapsed lists, bit-parallel.
-
-    Allison & Dix (IPL 1986) as restated by Hyyrö (2004): bit i of ``v``
-    stands for position i of the longer list, and the loop makes one step
-    per label of the shorter one, so a pair costs O(len(shorter)) big-int
-    operations. The zero bits among the low ``m`` bits of ``v`` count the
-    LCS; carries past bit ``m - 1`` never reach back down, so ``v`` is
-    masked only at the end.
-    """
-    if len(x.flattened_collapsed) < len(y.flattened_collapsed):
-        x, y = y, x
-    masks = x.label_masks
-    m = len(x.flattened_collapsed)
-    full = (1 << m) - 1
-    v = full
-    for label in y.flattened_collapsed:
-        u = v & masks.get(label, 0)
-        v = (v + u) | (v - u)
-    return m - (v & full).bit_count()
-
-
 def sequence_similarity(
     x: AisSequence, y: AisSequence, method: str = "lcs_ratio", *, n: int = 2
 ) -> float:
@@ -340,20 +318,38 @@ def sequence_similarity(
     per-episode n-gram sets. Two empty sequences score 1, one empty
     scores 0; when neither side yields any n-gram the score is 1 exactly
     when the flattened lists are identical.
+
+    The LCS is bit-parallel: Allison & Dix (IPL 1986) as restated by Hyyrö
+    (2004). Bit i of ``v`` stands for position i of the longer list, and the
+    loop makes one step per label of the shorter one, so a pair costs
+    O(len(shorter)) big-int operations. The zero bits among the low ``m``
+    bits of ``v`` count the LCS; carries past bit ``m - 1`` never reach back
+    down, so ``v`` is masked only at the end.
     """
-    if method == "ngram_jaccard":
-        _check_n(n)
-    elif method != "lcs_ratio":
+    if method == "lcs_ratio":
+        longer, shorter = x.flattened_collapsed, y.flattened_collapsed
+        if len(longer) < len(shorter):
+            longer, shorter, x = shorter, longer, y
+        m = len(longer)
+        if not m:
+            return 1.0
+        # An empty shorter list leaves every bit set: an LCS of 0, score 0.
+        masks = x.label_masks
+        full = (1 << m) - 1
+        v = full
+        for label in shorter:
+            u = v & masks.get(label, 0)
+            v = (v + u) | (v - u)
+        return (m - (v & full).bit_count()) / m
+    if method != "ngram_jaccard":
         raise ValueError(f"unknown method {method!r}; expected 'lcs_ratio' or 'ngram_jaccard'")
+    _check_n(n)
     flat_x = x.flattened_collapsed
     flat_y = y.flattened_collapsed
     if not flat_x and not flat_y:
         return 1.0
     if not flat_x or not flat_y:
         return 0.0
-
-    if method == "lcs_ratio":
-        return _lcs_length(x, y) / max(len(flat_x), len(flat_y))
     grams_x = x.gram_union(n)
     grams_y = y.gram_union(n)
     union = grams_x | grams_y

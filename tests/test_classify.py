@@ -397,6 +397,16 @@ OK_MATCH = {"category_equals": "X"}
             id="msg_regex_does_not_compile",
         ),
         pytest.param(
+            make_doc([rule("r-x", {"msg_regex": "a{4294967296}"}, "host_discovery")]),
+            ["rules[0] (r-x): invalid regex: the repetition number is too large"],
+            id="msg_regex_repeat_overflows",
+        ),
+        pytest.param(
+            make_doc([rule("r-x", {"msg_regex": "(" * 1_200 + ")" * 1_200}, "host_discovery")]),
+            ["rules[0] (r-x): invalid regex: nested too deeply"],
+            id="msg_regex_nested_too_deeply",
+        ),
+        pytest.param(
             make_doc([rule("r-x", {"sid_in": []}, "host_discovery")]),
             ["rules[0] (r-x): sid_in must be a non-empty list"],
             id="sid_in_empty",

@@ -143,6 +143,28 @@ def test_validate_mapping_rejects_unknown_target(capsys, tmp_path):
     assert "pwn_everything" in err
 
 
+@pytest.mark.parametrize(
+    ("regex", "finding"),
+    [
+        ("a{4294967296}", "invalid regex: the repetition number is too large"),
+        ("(" * 1_200 + ")" * 1_200, "invalid regex: nested too deeply"),
+    ],
+    ids=["repeat_overflows", "nested_too_deeply"],
+)
+def test_validate_mapping_reports_regex_overflow_and_recursion(capsys, tmp_path, regex, finding):
+    # re.compile raises OverflowError and RecursionError for these, not
+    # re.error; both ended in a traceback and exit 1.
+    doc = starter_mapping_document()
+    doc["rules"][0]["match"] = {"msg_regex": regex}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate-mapping", "--mapping", str(path))
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.count("finding:") == 1
+    assert finding in err
+
+
 def test_validate_mapping_unreadable_path(capsys, tmp_path):
     code, _, err = run(capsys, "validate-mapping", "--mapping", str(tmp_path / "missing.json"))
     assert code == 3

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import random
 import re
 import time
 from dataclasses import replace
@@ -111,6 +112,58 @@ def test_eve_timestamp_offsets_normalize_to_utc(stamp):
 def test_eve_naive_timestamp_rejected():
     with pytest.raises(AlertParseError, match="no UTC offset"):
         parse_eve_record(eve_line(timestamp="2019-05-01T08:00:00.000001"))
+
+
+def _utc(*fields: int) -> datetime:
+    return datetime(*fields, tzinfo=timezone.utc)
+
+
+# The EVE timestamp grammar, one row per spelling: the UTC value it parses
+# to, or the error that makes the record malformed. It is
+# datetime.fromisoformat's from Python 3.11 on, with an offset required.
+# Suricata writes the first row; the next three are the other offset
+# spellings EVE producers use. The rows after them are what 3.11 accepts
+# beyond that: week dates, the basic format, an hour alone, and fractions
+# longer than microseconds, which are truncated. The last rows are
+# malformed; the first three of those were accepted by a rewrite, removed
+# with the Python 3.10 floor, that turned every Z into +00:00 and a
+# trailing +HHMM into +HH:MM before trying again.
+TIMESTAMP_GRAMMAR = [
+    ("2019-05-01T08:00:00.000001+0000", _utc(2019, 5, 1, 8, 0, 0, 1)),
+    ("2019-05-01T08:00:00.000001+00:00", _utc(2019, 5, 1, 8, 0, 0, 1)),
+    ("2019-05-01T08:00:00.000001Z", _utc(2019, 5, 1, 8, 0, 0, 1)),
+    ("2019-05-01T10:30:00.000001+0230", _utc(2019, 5, 1, 8, 0, 0, 1)),
+    ("2019-05-01T03:00:00-05:00", _utc(2019, 5, 1, 8)),
+    ("2019-05-01 08:00:00+0000", _utc(2019, 5, 1, 8)),
+    ("2021-W09-1T08:00:00Z", _utc(2021, 3, 1, 8)),
+    ("2019-W18-3T08:00:00+0000", _utc(2019, 5, 1, 8)),
+    ("20210301T080000Z", _utc(2021, 3, 1, 8)),
+    ("2021-03-01 08Z", _utc(2021, 3, 1, 8)),
+    ("2021-03-01T08:00:00.123456789Z", _utc(2021, 3, 1, 8, 0, 0, 123456)),
+    ("2021-03-01T08:00:00.1234567+0000", _utc(2021, 3, 1, 8, 0, 0, 123456)),
+    ("2021-03-01T08Z:00", "unparseable timestamp '2021-03-01T08Z:00'"),
+    ("2021-09-08Z+0000", "unparseable timestamp '2021-09-08Z+0000'"),
+    ("2021-03-0108", "unparseable timestamp '2021-03-0108'"),
+    ("2019-05-01T08:00:00.000001", "timestamp '2019-05-01T08:00:00.000001' has no UTC offset"),
+    ("2019-05-01", "timestamp '2019-05-01' has no UTC offset"),
+    ("2019-05-01T08:00:00+24:00", "unparseable timestamp '2019-05-01T08:00:00+24:00'"),
+    ("2019-13-01T08:00:00Z", "unparseable timestamp '2019-13-01T08:00:00Z'"),
+    ("May 1 2019 08:00:00 UTC", "unparseable timestamp 'May 1 2019 08:00:00 UTC'"),
+    ("", "unparseable timestamp ''"),
+    ("9999-12-31T23:59:59-01:00", "timestamp '9999-12-31T23:59:59-01:00' is out of range in UTC"),
+]
+
+
+@pytest.mark.parametrize(("stamp", "expected"), TIMESTAMP_GRAMMAR, ids=[row[0] for row in TIMESTAMP_GRAMMAR])
+def test_eve_timestamp_grammar(stamp, expected):
+    alerts, stats = read_alert_stream([eve_line(timestamp=stamp)], fmt="eve")
+    parsed = [alert.timestamp for alert in alerts]
+    if isinstance(expected, datetime):
+        assert parsed == [expected]
+        assert parsed[0].tzinfo is timezone.utc
+    else:
+        assert parsed == []
+        assert stats.first_error_samples == [("<stream>:1", expected)]
 
 
 def test_eve_non_alert_returns_none():
@@ -472,6 +525,145 @@ def test_stream_counts_hostile_record_and_keeps_going(bad_line):
     assert stats.malformed == 1
     assert [alert.raw_ref.index for alert in out] == [2]
     assert stats.reconciles()
+
+
+def former_parse_eve_record(line: str, *, ref: RawRef) -> NormalizedAlert | None:
+    """The EVE parser before it decoded with the bare scanner and tested types at once.
+
+    ``json.loads`` and the per-field checks, in field order; the reference
+    for ``parse_eve_record``. It shares the timestamp grammar, which
+    ``TIMESTAMP_GRAMMAR`` pins on its own.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise AlertParseError(f"malformed JSON: {exc.msg}", ref) from None
+    except RecursionError:
+        raise AlertParseError("malformed JSON: nested too deeply", ref) from None
+    except ValueError as exc:
+        raise AlertParseError(f"malformed JSON: {exc}", ref) from None
+    if not isinstance(record, dict):
+        raise AlertParseError("record is not a JSON object", ref)
+    if record.get("event_type") != "alert":
+        return None
+    alert = record.get("alert")
+    if not isinstance(alert, dict):
+        raise AlertParseError("alert object missing", ref)
+    for name in ("timestamp", "src_ip", "dest_ip", "proto"):
+        if name not in record:
+            raise AlertParseError(f"mandatory field {name!r} missing", ref)
+    if "signature_id" not in alert or "signature" not in alert:
+        raise AlertParseError("alert.signature_id / alert.signature missing", ref)
+    timestamp = ingest._parse_timestamp(record["timestamp"], ref)
+    src_ip = ingest._check_address(record["src_ip"], "src_ip", ref)
+    dst_ip = ingest._check_address(record["dest_ip"], "dest_ip", ref)
+    proto = record["proto"]
+    if not isinstance(proto, str) or not proto:
+        raise AlertParseError(f"invalid proto {proto!r}", ref)
+    protocol = proto.upper()
+    if protocol in ("TCP", "UDP", "SCTP"):
+        src_port = ingest._check_port(record.get("src_port"), "src_port", ref)
+        dst_port = ingest._check_port(record.get("dest_port"), "dest_port", ref)
+    else:
+        src_port = dst_port = None
+    sid, gid, rev = alert["signature_id"], alert.get("gid", 1), alert.get("rev", 0)
+    for name, value in (("signature_id", sid), ("gid", gid), ("rev", rev)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise AlertParseError(f"invalid alert.{name} {value!r}", ref)
+    msg = alert["signature"]
+    if not isinstance(msg, str):
+        raise AlertParseError(f"invalid alert.signature {msg!r}", ref)
+    category = alert.get("category")
+    if category is not None and not isinstance(category, str):
+        raise AlertParseError(f"invalid alert.category {category!r}", ref)
+    severity = alert.get("severity")
+    if severity is not None and (not isinstance(severity, int) or isinstance(severity, bool) or severity < 1):
+        raise AlertParseError(f"invalid alert.severity {severity!r}", ref)
+    return NormalizedAlert(
+        timestamp, src_ip, src_port, dst_ip, dst_port, protocol,
+        gid, sid, rev, msg, category or None, severity, "eve", ref,
+    )
+
+
+# Values a hostile record puts in a field, MISSING deleting it: each JSON
+# type, bools where ints belong, negative and out-of-range numbers, and
+# integers past 64 bits.
+MISSING = object()
+HOSTILE_VALUES = [
+    MISSING, None, True, False, 0, 1, -1, 80, 65535, 65536, 2**64, -(2**70),
+    0.0, 80.0, float("nan"), "", "80", "TCP", "icmp", "10.0.0.5", "::1", "999.1.1.1",
+    "2019-05-01T08:00:00Z", [], [1], ["10.0.0.5"], {}, {"a": 1},
+]
+RECORD_FIELDS = ["timestamp", "event_type", "src_ip", "src_port", "dest_ip", "dest_port", "proto", "alert"]
+ALERT_FIELDS = ["signature_id", "gid", "rev", "signature", "category", "severity"]
+# What can surround or replace a record's text: JSON whitespace, whitespace
+# JSON does not allow, a BOM, trailing data, deep nesting, an integer longer
+# than int() converts, and JSON that is not an object.
+LINE_WRAPPERS = [
+    lambda text: text,
+    lambda text: " " + text,
+    lambda text: text + "\t\r\n",
+    lambda text: "\u00a0" + text,
+    lambda text: text + "\u3000",
+    lambda text: "\x0b" + text,
+    lambda text: "\ufeff" + text,
+    lambda text: text + " x",
+    lambda text: text + "{}",
+    lambda text: text[:-1],
+    lambda text: text.replace('"gid"', '"gid": ' + "[" * 3_000 + "]" * 3_000 + ', "x"', 1),
+    lambda text: text.replace('"rev"', '"rev": ' + "9" * 5_000 + ', "y"', 1),
+    lambda text: "[" + text + "]",
+    lambda text: json.dumps(text),
+    lambda text: "17",
+    lambda text: "null",
+]
+
+
+def hostile_eve_lines(seed: int, count: int) -> list[str]:
+    """``count`` EVE lines, most of them faulty, each from one seeded draw."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        record = json.loads(eve_line())
+        record["proto"] = rng.choice(["TCP", "udp", "SCTP", "ICMP", "IPv6-ICMP"])
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            target = record["alert"] if rng.random() < 0.5 and isinstance(record.get("alert"), dict) else record
+            name = rng.choice(ALERT_FIELDS if target is not record else RECORD_FIELDS)
+            value = rng.choice(HOSTILE_VALUES)
+            if value is MISSING:
+                target.pop(name, None)
+            else:
+                target[name] = value
+        text = json.dumps(record, separators=(",", ":") if rng.random() < 0.5 else None)
+        wrap = LINE_WRAPPERS[0] if rng.random() < 0.6 else rng.choice(LINE_WRAPPERS)
+        lines.append(wrap(text))
+    return lines
+
+
+def eve_outcome(parse, line: str, ref: RawRef):
+    try:
+        return parse(line, ref=ref)
+    except AlertParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", [1601, 1602])
+def test_eve_parser_matches_the_per_field_oracle_on_hostile_lines(seed):
+    lines = hostile_eve_lines(seed, 3_000)
+    outcomes = {"alert": 0, "none": 0, "error": 0}
+    for index, line in enumerate(lines, start=1):
+        ref = RawRef("hostile", index)
+        got = eve_outcome(parse_eve_record, line, ref)
+        want = eve_outcome(former_parse_eve_record, line, ref)
+        assert got == want, line
+        if isinstance(got, NormalizedAlert):
+            assert [type(value) for value in got.content_fields()] == [
+                type(value) for value in want.content_fields()
+            ], line
+        outcomes["error" if isinstance(got, str) else "none" if got is None else "alert"] += 1
+    # The corpus reaches every outcome, and most lines are faulty.
+    assert min(outcomes.values()) > 100
+    assert outcomes["error"] > len(lines) // 2
 
 
 # Numbers int() rejects although the parser's digit checks let them through:
