@@ -32,9 +32,9 @@ the number of pairs the change won (ties count for neither) and whether
 that is a gain: at least nine wins in ten and medians further apart than
 the parent's quartiles. The gated ``setup_s`` is raw wall time, so it
 follows the machine's speed; each run also keeps it divided by its
-reference pass (``setup_ref``), summarized the same way but not gated. The file is rewritten after every pair, so an
-interrupted session keeps what it measured. The script exits 1 if any run
-was not correct.
+reference pass (``setup_ref``), summarized the same way but not gated.
+The file is rewritten after every pair, so an interrupted session keeps
+what it measured. The script exits 1 if any run was not correct.
 """
 
 from __future__ import annotations

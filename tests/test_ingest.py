@@ -121,13 +121,13 @@ def _utc(*fields: int) -> datetime:
 # The EVE timestamp grammar, one row per spelling: the UTC value it parses
 # to, or the error that makes the record malformed. It is
 # datetime.fromisoformat's from Python 3.11 on, with an offset required.
-# Suricata writes the first row; the next three are the other offset
-# spellings EVE producers use. The rows after them are what 3.11 accepts
-# beyond that: week dates, the basic format, an hour alone, and fractions
-# longer than microseconds, which are truncated. The last rows are
-# malformed; the first three of those were accepted by a rewrite, removed
-# with the Python 3.10 floor, that turned every Z into +00:00 and a
-# trailing +HHMM into +HH:MM before trying again.
+# Suricata writes the first row; the next five are other offsets and the
+# space separator. The six after them are what 3.11 accepts beyond that:
+# week dates, the basic format, an hour alone, and fractions longer than
+# microseconds, which are truncated. The rest are malformed. Of those, the
+# first two parsed and the third was a naive time while a retry that
+# rewrote every Z to +00:00 and a trailing +HHMM to +HH:MM was kept for
+# Python 3.10.
 TIMESTAMP_GRAMMAR = [
     ("2019-05-01T08:00:00.000001+0000", _utc(2019, 5, 1, 8, 0, 0, 1)),
     ("2019-05-01T08:00:00.000001+00:00", _utc(2019, 5, 1, 8, 0, 0, 1)),
