@@ -5,9 +5,12 @@ Usage, from the repository root::
 
     python3 scripts/bench_pairs.py --pr N --seeds 701 702 703
 
-It measures every workload BENCHMARK.json lists (``--workload`` picks
-some of them) at the run length ``perfbench/run.py`` defaults to, and
-records BENCHMARK.json's ``run_seconds``. Each side (``--base``, default
+It measures every workload BENCHMARK.json lists at the run length
+``perfbench/run.py`` defaults to, and records BENCHMARK.json's
+``run_seconds``. ``--workload`` picks any workloads ``perfbench/run.py``
+defines instead; one BENCHMARK.json does not list (``eve_classify``,
+``similarity_ngram``) is gated by nothing, so it is recorded with
+``"gated": false`` and without a bound or a gain verdict. Each side (``--base``, default
 ``HEAD~1``, and ``--head``, default ``HEAD``) is exported with ``git
 archive`` into its own temporary directory, so both are measured from
 their committed files and nothing is registered in the repository's
@@ -32,7 +35,8 @@ the number of pairs the change won (ties count for neither) and whether
 that is a gain: at least nine wins in ten and medians further apart than
 the parent's quartiles. The gated ``setup_s`` is raw wall time, so it
 follows the machine's speed; each run also keeps it divided by its
-reference pass (``setup_ref``), summarized the same way but not gated.
+reference pass (``setup_ref``), summarized the same way but not gated,
+so without a gain verdict.
 The file is rewritten after every pair, so an interrupted session keeps
 what it measured. The script exits 1 if any run was not correct.
 """
@@ -110,8 +114,19 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+def defined_workloads() -> list[str]:
+    """Every workload ``perfbench/run.py`` defines, gated or not."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import WORKLOADS
+
+    return list(WORKLOADS)
+
+
+def summarize(runs: list[dict], metrics: list[dict], gated: bool) -> dict:
+    """Per metric: each side's median and quartiles, and the change's wins.
+
+    A gated workload's metrics also get their bound and the gain verdict.
+    """
     pairs = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["side"]] = run
@@ -120,26 +135,28 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     if not complete:
         return summary
 
-    def compare(value, lower: bool) -> dict:
+    def compare(value, lower: bool, gated: bool) -> dict:
         base = [value(p["base"]) for p in complete]
         head = [value(p["head"]) for p in complete]
         wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
         entry = {"base": base, "head": head, "head_wins": wins}
         if len(complete) >= 2:
             entry["base_stats"], entry["head_stats"] = b, h = spread(base), spread(head)
-            # The gain rule: the change wins nine pairs in ten, and the medians
-            # differ by more than the parent's quartile spread.
-            gap = b["median"] - h["median"] if lower else h["median"] - b["median"]
-            entry["gain"] = wins >= 0.9 * len(complete) and gap > b["q3"] - b["q1"]
+            if gated:
+                # The gain rule: the change wins nine pairs in ten, and the
+                # medians differ by more than the parent's quartile spread.
+                gap = b["median"] - h["median"] if lower else h["median"] - b["median"]
+                entry["gain"] = wins >= 0.9 * len(complete) and gap > b["q3"] - b["q1"]
         return entry
 
     for metric in metrics:
         name = metric["name"]
-        summary[name] = {"unit": metric["unit"], "bound": metric["bound"],
-                         **compare(lambda run: run["metrics"][name], metric["better"] == "lower")}
+        gate = {"bound": metric["bound"]} if gated else {"gated": False}
+        summary[name] = {"unit": metric["unit"], **gate,
+                         **compare(lambda run: run["metrics"][name], metric["better"] == "lower", gated)}
     if all(p[side]["setup_ref"] is not None for p in complete for side in p):
         summary["setup_ref"] = {"unit": "ref", "gated": False,
-                                **compare(lambda run: run["setup_ref"], True)}
+                                **compare(lambda run: run["setup_ref"], True, False)}
     return summary
 
 
@@ -157,8 +174,9 @@ def main() -> int:
     parser.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
     parser.add_argument("--base", default="HEAD~1", help="parent commit (default HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="change commit (default HEAD)")
-    parser.add_argument("--workload", action="append",
-                        help="one of BENCHMARK.json's workloads (default: all of them)")
+    parser.add_argument("--workload", action="append", choices=defined_workloads(),
+                        help="a workload perfbench/run.py defines "
+                             "(default: all that BENCHMARK.json lists)")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
     args = parser.parse_args()
 
@@ -166,7 +184,8 @@ def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = benchmark["end_to_end"]
     seconds = [m["name"] for m in benchmark["per_layer"] if m["unit"] == "s"]
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    gated = [w["name"] for w in benchmark["workloads"]]
+    workloads = args.workload or gated
     out = ROOT / f"BENCH_{args.pr}.json"
     record = {
         "pr": args.pr,
@@ -192,7 +211,10 @@ def main() -> int:
                     ok = ok and run["correct"]
                     print(f"{workload} seed {seed} {side}: correct={run['correct']} "
                           f"{json.dumps(run['metrics'])}", flush=True)
-                record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
+                record["workloads"][workload] = {
+                    "gated": workload in gated, "runs": runs,
+                    "summary": summarize(runs, metrics, workload in gated),
+                }
                 out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
             traced = {"seed": args.seeds[0], "base": [], "head": []}
             for index in range(TRACED_RUNS):

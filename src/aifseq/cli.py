@@ -369,10 +369,11 @@ def _write_similarity_csv(path: Path, sequences, method: str, n: int) -> None:
         fh.write("key_a,key_b,method,score\r\n")
         for i, left in enumerate(sequences):
             prefix = f"{labels[i]},"
-            fh.writelines(
+            # One write per left sequence: writelines would call write once per row.
+            fh.write("".join(
                 f"{prefix}{label},{method},{sequence_similarity(left, right, method, n=n):.6f}\r\n"
                 for right, label in zip(sequences[i + 1 :], labels[i + 1 :])
-            )
+            ))
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:

@@ -39,6 +39,11 @@ _FAST_TIME_RE = re.compile(r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})")
 _FAST_IDS_RE = re.compile(r"\s+\[\*\*\]\s+\[(\d+):(\d+):(\d+)\]")
 _FAST_BLOCKS_RE = re.compile(r"(?:\s+\[Classification:([^\]]*)\])?(?:\s+\[Priority:\s*(\d+)\])?")
 
+# What the stream strips from each line: the whitespace JSON allows around
+# a value. str.strip() would also take NBSP, U+3000 and other characters
+# that make the same line malformed when parsed directly.
+_JSON_WHITESPACE = " \t\r\n"
+
 _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year field)"
 
 # An IDS stream repeats a few addresses and signatures many times, so the
@@ -203,20 +208,6 @@ def _shared(text: str) -> str:
     return text
 
 
-def _check_port(value: Any, what: str, ref: RawRef) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 65535:
-        raise AlertParseError(f"invalid {what} {value!r}", ref)
-    return value
-
-
-def _check_address(value: Any, what: str, ref: RawRef) -> str:
-    # ip_address also takes ints, and JSON lists and dicts are unhashable.
-    address = _memo(_valid_ip, value) if isinstance(value, str) else None
-    if address is None:
-        raise AlertParseError(f"invalid {what} {value!r}", ref)
-    return address
-
-
 # The C scanner behind json.loads, without its wrapper: it decodes a line that
 # is one JSON value and nothing else.
 _scan_json = json.JSONDecoder().scan_once
@@ -248,10 +239,14 @@ def _json_value(line: str, ref: RawRef) -> Any:
 def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAlert | None:
     """Parse one EVE JSON record; None for non-alert events.
 
-    Raises AlertParseError on malformed or too deeply nested JSON, missing
-    mandatory fields, or a timestamp that is not a string, does not parse,
-    or falls outside the datetime range in UTC. Unknown EVE fields are
-    ignored.
+    Raises AlertParseError on malformed or too deeply nested JSON, a record
+    that is not an object or lacks its alert object, a missing mandatory
+    field, or an invalid value. Fields are checked once each, in order:
+    timestamp, src_ip, dest_ip, proto, the ports of TCP, UDP and SCTP,
+    signature_id, gid, rev, signature, category, severity; the first fault
+    is the one reported. A timestamp must be a string that parses, carries
+    an offset and stays within the datetime range in UTC. Unknown EVE fields
+    are ignored.
     """
     record = _json_value(line, ref)
     if not isinstance(record, dict):
@@ -264,96 +259,52 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError("alert object missing", ref)
     try:
         ts, src, dst, proto = record["timestamp"], record["src_ip"], record["dest_ip"], record["proto"]
+    except KeyError as exc:  # the first of the four that is missing
+        raise AlertParseError(f"mandatory field {exc.args[0]!r} missing", ref) from None
+    try:
         sid, msg = alert["signature_id"], alert["signature"]
     except KeyError:
-        return _checked_eve_alert(record, alert, ref)
+        raise AlertParseError("alert.signature_id / alert.signature missing", ref) from None
+
+    # JSON yields exact types, so a class test accepts an int and rejects a
+    # bool, which is an int subclass. Only a string goes to the address memo:
+    # ip_address also takes ints, and JSON lists and dicts are unhashable.
     timestamp = _parse_timestamp(ts, ref)
-    gid, rev = alert.get("gid", 1), alert.get("rev", 0)
-    category, severity = alert.get("category"), alert.get("severity")
-    src_port, dst_port = record.get("src_port"), record.get("dest_port")
-
-    # JSON yields exact types, so one test of classes and ranges, in field
-    # order, passes the common record and fails a bool, which is an int
-    # subclass. A record it fails goes through the per-field checks, which
-    # find its first fault and word the error.
-    if not (
-        src.__class__ is str and (src_ip := _memo(_valid_ip, src)) is not None
-        and dst.__class__ is str and (dst_ip := _memo(_valid_ip, dst)) is not None
-        and proto.__class__ is str and proto
-        and (
-            (protocol := _memo(_shared, proto.upper())) not in _PORTFUL_PROTOCOLS
-            or src_port.__class__ is int and 0 <= src_port <= 65535
-            and dst_port.__class__ is int and 0 <= dst_port <= 65535
-        )
-        and sid.__class__ is int and sid >= 0
-        and gid.__class__ is int and gid >= 0
-        and rev.__class__ is int and rev >= 0
-        and msg.__class__ is str
-        and (category is None or category.__class__ is str)
-        and (severity is None or severity.__class__ is int and severity >= 1)
-    ):
-        return _checked_eve_alert(record, alert, ref)
-    if protocol not in _PORTFUL_PROTOCOLS:
-        src_port = dst_port = None
-    return NormalizedAlert(
-        timestamp, src_ip, src_port, dst_ip, dst_port, protocol, gid, sid, rev,
-        _memo(_shared, msg), _memo(_shared, category) if category else None, severity, EVE_FORMAT, ref,
-    )
-
-
-def _checked_eve_alert(record: dict, alert: dict, ref: RawRef) -> NormalizedAlert:
-    """The alert of an EVE alert record, checked field by field in order.
-
-    ``parse_eve_record`` sends here every record its one test fails; this
-    decides which fault it reports first, and with what text.
-    """
-    for name in ("timestamp", "src_ip", "dest_ip", "proto"):
-        if name not in record:
-            raise AlertParseError(f"mandatory field {name!r} missing", ref)
-    if "signature_id" not in alert or "signature" not in alert:
-        raise AlertParseError("alert.signature_id / alert.signature missing", ref)
-
-    timestamp = _parse_timestamp(record["timestamp"], ref)
-    src_ip = _check_address(record["src_ip"], "src_ip", ref)
-    dst_ip = _check_address(record["dest_ip"], "dest_ip", ref)
-
-    proto = record["proto"]
-    if not isinstance(proto, str) or not proto:
+    if src.__class__ is not str or (src_ip := _memo(_valid_ip, src)) is None:
+        raise AlertParseError(f"invalid src_ip {src!r}", ref)
+    if dst.__class__ is not str or (dst_ip := _memo(_valid_ip, dst)) is None:
+        raise AlertParseError(f"invalid dest_ip {dst!r}", ref)
+    if proto.__class__ is not str or not proto:
         raise AlertParseError(f"invalid proto {proto!r}", ref)
     protocol = _memo(_shared, proto.upper())
-
     if protocol in _PORTFUL_PROTOCOLS:
-        src_port = _check_port(record.get("src_port"), "src_port", ref)
-        dst_port = _check_port(record.get("dest_port"), "dest_port", ref)
+        src_port, dst_port = record.get("src_port"), record.get("dest_port")
+        if src_port.__class__ is not int or not 0 <= src_port <= 65535:
+            raise AlertParseError(f"invalid src_port {src_port!r}", ref)
+        if dst_port.__class__ is not int or not 0 <= dst_port <= 65535:
+            raise AlertParseError(f"invalid dest_port {dst_port!r}", ref)
     else:
         # Portless protocol: drop any port the producer attached.
         src_port = dst_port = None
-
-    sid = alert["signature_id"]
+    if sid.__class__ is not int or sid < 0:
+        raise AlertParseError(f"invalid alert.signature_id {sid!r}", ref)
     gid = alert.get("gid", 1)
+    if gid.__class__ is not int or gid < 0:
+        raise AlertParseError(f"invalid alert.gid {gid!r}", ref)
     rev = alert.get("rev", 0)
-    for name, value in (("signature_id", sid), ("gid", gid), ("rev", rev)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise AlertParseError(f"invalid alert.{name} {value!r}", ref)
-
-    msg = alert["signature"]
-    if not isinstance(msg, str):
+    if rev.__class__ is not int or rev < 0:
+        raise AlertParseError(f"invalid alert.rev {rev!r}", ref)
+    if msg.__class__ is not str:
         raise AlertParseError(f"invalid alert.signature {msg!r}", ref)
-
     category = alert.get("category")
-    if category is not None and not isinstance(category, str):
+    if category is not None and category.__class__ is not str:
         raise AlertParseError(f"invalid alert.category {category!r}", ref)
-    category = _memo(_shared, category) if category else None
-
     severity = alert.get("severity")
-    if severity is not None and (
-        not isinstance(severity, int) or isinstance(severity, bool) or severity < 1
-    ):
+    if severity is not None and (severity.__class__ is not int or severity < 1):
         raise AlertParseError(f"invalid alert.severity {severity!r}", ref)
-
     return NormalizedAlert(
-        timestamp, src_ip, src_port, dst_ip, dst_port, protocol,
-        gid, sid, rev, _memo(_shared, msg), category, severity, EVE_FORMAT, ref,
+        timestamp, src_ip, src_port, dst_ip, dst_port, protocol, gid, sid, rev,
+        _memo(_shared, msg), _memo(_shared, category) if category else None, severity, EVE_FORMAT, ref,
     )
 
 
@@ -615,9 +566,12 @@ def read_alert_stream(
     """Stream alerts out of a file, file object, or iterable of lines.
 
     Returns an iterator plus the stats object it fills in while consumed.
-    Malformed records are counted and sampled, never fatal; blank lines are
-    not records. ``fmt`` is ``"eve"``, ``"snort_fast"``, or ``"auto"``
-    (first non-empty line starting with ``{`` means EVE). The fast format
+    Malformed records are counted and sampled, never fatal. Each line loses
+    the whitespace JSON allows around a value (space, tab, CR and LF) and
+    nothing else, so a line reads as the parser called on it directly does;
+    a line with nothing left is blank and not a record. ``fmt`` is
+    ``"eve"``, ``"snort_fast"``, or ``"auto"`` (first non-blank line
+    starting with ``{`` means EVE). The fast format
     requires ``assumed_year``. A path is opened at once and closed when the
     iterator is exhausted, closed or collected unstarted; a file object or
     iterable passed in is never closed, and a binary stream is read through
@@ -635,7 +589,7 @@ def read_alert_stream(
         resolved = None if fmt == "auto" else fmt
         try:
             for index, line in enumerate(lines, start=1):
-                stripped = line.strip()
+                stripped = line.strip(_JSON_WHITESPACE)
                 if not stripped:
                     continue
                 if resolved is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import statistics
 import time
 from datetime import datetime, timedelta, timezone
 from itertools import groupby, product
@@ -574,25 +575,45 @@ def test_criterion_7_golden_run(capsys, tmp_path):
         _report(capsys, 7, "golden two-attacker run", ok)
 
 
+CRITERION_8_PASSES = 5
+
+
+def _timed_pass(lines, step) -> tuple[int, float]:
+    """How many lines one pass hands to ``step``, and how many per second."""
+    started = time.perf_counter()
+    count = 0
+    for line in lines:
+        step(line)
+        count += 1
+    return count, count / (time.perf_counter() - started)
+
+
 def test_criterion_8_throughput_documented(capsys):
     ok = False
-    rate = 0.0
+    report = ""
     try:
         taxonomy = builtin_taxonomy()
         spec = load_mapping(starter_mapping_document(), taxonomy)
         rng = random.Random(20240819)
         lines = [render_eve_record(_corpus_alert(rng, i)) for i in range(10_000)] * 6
 
-        started = time.perf_counter()
-        count = 0
-        for line in lines:
-            alert = parse_eve_record(line)
-            classify_alert(alert, spec, taxonomy)
-            count += 1
-        elapsed = time.perf_counter() - started
-        rate = count / elapsed
-        assert count == 60_000
-        assert rate > 0
+        def parse_and_classify(line):
+            classify_alert(parse_eve_record(line), spec, taxonomy)
+
+        # One pass swings by up to 2x on a shared machine, so each rate is
+        # the median and the best of several passes, the two kinds alternating.
+        steps = {"parse+classify": parse_and_classify, "parse alone": parse_eve_record}
+        rates = {label: [] for label in steps}
+        for _ in range(CRITERION_8_PASSES):
+            for label, step in steps.items():
+                count, rate = _timed_pass(lines, step)
+                assert count == 60_000
+                assert rate > 0
+                rates[label].append(rate)
+        report = ", ".join(
+            f"{label} median {statistics.median(values):,.0f} best {max(values):,.0f}"
+            for label, values in rates.items()
+        )
         ok = True
     finally:
         _report(
@@ -600,5 +621,6 @@ def test_criterion_8_throughput_documented(capsys):
             8,
             "throughput",
             ok,
-            f" - {rate:,.0f} alerts/s parsed+classified (target 50,000; documented, non-gating)",
+            f" - alerts/s over {CRITERION_8_PASSES} passes: {report}"
+            " (target 50,000 parse+classify; documented, non-gating)",
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import io
 import json
@@ -11,6 +12,7 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import lru_cache
+from typing import Any
 
 import pytest
 from hypothesis import example, given, settings
@@ -527,12 +529,27 @@ def test_stream_counts_hostile_record_and_keeps_going(bad_line):
     assert stats.reconciles()
 
 
+def _check_port(value: Any, what: str, ref: RawRef) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 65535:
+        raise AlertParseError(f"invalid {what} {value!r}", ref)
+    return value
+
+
+def _check_address(value: Any, what: str, ref: RawRef) -> str:
+    # ip_address also takes ints, and JSON lists and dicts are unhashable.
+    address = ingest._memo(ingest._valid_ip, value) if isinstance(value, str) else None
+    if address is None:
+        raise AlertParseError(f"invalid {what} {value!r}", ref)
+    return address
+
+
 def former_parse_eve_record(line: str, *, ref: RawRef) -> NormalizedAlert | None:
     """The EVE parser before it decoded with the bare scanner and tested types at once.
 
-    ``json.loads`` and the per-field checks, in field order; the reference
-    for ``parse_eve_record``. It shares the timestamp grammar, which
-    ``TIMESTAMP_GRAMMAR`` pins on its own.
+    ``json.loads`` and the per-field checks, in field order, with the
+    parser's former ``_check_port`` and ``_check_address`` helpers; the
+    reference for ``parse_eve_record``. It shares the timestamp grammar,
+    which ``TIMESTAMP_GRAMMAR`` pins on its own.
     """
     try:
         record = json.loads(line)
@@ -555,15 +572,15 @@ def former_parse_eve_record(line: str, *, ref: RawRef) -> NormalizedAlert | None
     if "signature_id" not in alert or "signature" not in alert:
         raise AlertParseError("alert.signature_id / alert.signature missing", ref)
     timestamp = ingest._parse_timestamp(record["timestamp"], ref)
-    src_ip = ingest._check_address(record["src_ip"], "src_ip", ref)
-    dst_ip = ingest._check_address(record["dest_ip"], "dest_ip", ref)
+    src_ip = _check_address(record["src_ip"], "src_ip", ref)
+    dst_ip = _check_address(record["dest_ip"], "dest_ip", ref)
     proto = record["proto"]
     if not isinstance(proto, str) or not proto:
         raise AlertParseError(f"invalid proto {proto!r}", ref)
     protocol = proto.upper()
     if protocol in ("TCP", "UDP", "SCTP"):
-        src_port = ingest._check_port(record.get("src_port"), "src_port", ref)
-        dst_port = ingest._check_port(record.get("dest_port"), "dest_port", ref)
+        src_port = _check_port(record.get("src_port"), "src_port", ref)
+        dst_port = _check_port(record.get("dest_port"), "dest_port", ref)
     else:
         src_port = dst_port = None
     sid, gid, rev = alert["signature_id"], alert.get("gid", 1), alert.get("rev", 0)
@@ -633,7 +650,9 @@ def hostile_eve_lines(seed: int, count: int) -> list[str]:
             if value is MISSING:
                 target.pop(name, None)
             else:
-                target[name] = value
+                # A copy, so a later draw that writes into a list or dict
+                # changes neither this record nor the next seed's corpus.
+                target[name] = copy.deepcopy(value)
         text = json.dumps(record, separators=(",", ":") if rng.random() < 0.5 else None)
         wrap = LINE_WRAPPERS[0] if rng.random() < 0.6 else rng.choice(LINE_WRAPPERS)
         lines.append(wrap(text))
@@ -647,7 +666,7 @@ def eve_outcome(parse, line: str, ref: RawRef):
         return str(exc)
 
 
-@pytest.mark.parametrize("seed", [1601, 1602])
+@pytest.mark.parametrize("seed", range(1601, 1606))
 def test_eve_parser_matches_the_per_field_oracle_on_hostile_lines(seed):
     lines = hostile_eve_lines(seed, 3_000)
     outcomes = {"alert": 0, "none": 0, "error": 0}
@@ -664,6 +683,42 @@ def test_eve_parser_matches_the_per_field_oracle_on_hostile_lines(seed):
     # The corpus reaches every outcome, and most lines are faulty.
     assert min(outcomes.values()) > 100
     assert outcomes["error"] > len(lines) // 2
+
+
+def stream_and_parser_outcomes(line: str, fmt: str):
+    """What the stream makes of ``line``, and what the parser called on it does."""
+    alerts, stats = read_alert_stream([line], fmt=fmt, assumed_year=2019, source_name="x")
+    streamed = list(alerts) or [reason for _, reason in stats.first_error_samples] or [None]
+    ref = RawRef("x", 1)
+    try:
+        if fmt == "eve":
+            parsed = parse_eve_record(line, ref=ref)
+        else:
+            parsed = parse_snort_fast_line(line, 2019, ref=ref)
+    except AlertParseError as exc:
+        parsed = exc.args[0]
+    return streamed, [parsed]
+
+
+@pytest.mark.parametrize(
+    "line, fmt",
+    [pytest.param(wrap(eve_line()), "eve", id=f"wrapper{i}") for i, wrap in enumerate(LINE_WRAPPERS)]
+    + [pytest.param(char + eve_line() + char, "eve", id=f"U+{ord(char):04X}") for char in "\x1c\x1d\x1e\x1f\x85"]
+    + [
+        pytest.param("\u00a0" + FAST_LINE, "snort_fast", id="fast_leading_nbsp"),
+        pytest.param(FAST_LINE + "\u00a0", "snort_fast", id="fast_trailing_nbsp"),
+    ],
+)
+def test_stream_and_parser_agree_on_whitespace(line, fmt):
+    streamed, parsed = stream_and_parser_outcomes(line, fmt)
+    assert streamed == parsed
+
+
+@pytest.mark.parametrize("line", ["\u00a0", "\u3000 ", "\x0b", "\x1c\r\n"])
+def test_a_line_of_non_json_whitespace_is_a_malformed_record(line):
+    alerts, stats = read_alert_stream([line, " \t\r\n", eve_line()], fmt="eve")
+    assert len(list(alerts)) == 1
+    assert (stats.records_seen, stats.malformed) == (2, 1)
 
 
 # Numbers int() rejects although the parser's digit checks let them through:
