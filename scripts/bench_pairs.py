@@ -10,11 +10,11 @@ It measures every workload BENCHMARK.json lists at the run length
 ``run_seconds``. ``--workload`` picks any workloads ``perfbench/run.py``
 defines instead; one BENCHMARK.json does not list (``eve_classify``,
 ``similarity_ngram``) is gated by nothing, so it is recorded with
-``"gated": false`` and without a bound or a gain verdict. Each side (``--base``, default
-``HEAD~1``, and ``--head``, default ``HEAD``) is exported with ``git
-archive`` into its own temporary directory, so both are measured from
-their committed files and nothing is registered in the repository's
-``.git``; set ``TMPDIR`` to choose where.
+``"gated": false`` and without a bound or a gain verdict. Each side
+(``--base``, default ``HEAD~1``, and ``--head``, default ``HEAD``) is
+exported with ``git archive`` into its own temporary directory, so both
+are measured from their committed files and nothing is registered in the
+repository's ``.git``; set ``TMPDIR`` to choose where.
 For every workload and seed the two sides run ``perfbench/run.py`` one
 after the other, the parent first on even pairs and the change first on
 odd ones, so a slow spell of the machine does not land on one side only.
