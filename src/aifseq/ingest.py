@@ -528,16 +528,19 @@ def render_snort_fast_line(alert: NormalizedAlert) -> str:
 def _line_iter(source: Any) -> tuple[Iterator[str], str]:
     """Lines plus a display name for any supported source kind.
 
-    Closing the lines releases only what this function opened: the file a
-    path names, or the reader it builds over ``bytes``. A stream or iterable
-    the caller passed in stays open.
+    A path, ``bytes`` or a binary stream is decoded as ``utf-8-sig``, so a
+    leading byte order mark is dropped; text the caller decoded is read as
+    it is. Closing the lines releases only what this function opened: the
+    file a path names, or the reader it builds over ``bytes``. A stream or
+    iterable the caller passed in stays open.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        fh = open(path, "r", encoding="utf-8", errors="replace")
+        fh = open(path, "r", encoding="utf-8-sig", errors="replace")
         return fh, path.name
     if isinstance(source, (bytes, bytearray)):
-        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors="replace"), "<bytes>"
+        reader = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", errors="replace")
+        return reader, "<bytes>"
     name = (hasattr(source, "read") and getattr(source, "name", None)) or "<stream>"
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         return _decoded_lines(source), name
@@ -546,7 +549,7 @@ def _line_iter(source: Any) -> tuple[Iterator[str], str]:
 
 def _decoded_lines(stream: IO[bytes]) -> Iterator[str]:
     """Lines of a caller's binary stream; the stream stays open afterwards."""
-    text = io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace")
     try:
         yield from text
     finally:
@@ -575,7 +578,9 @@ def read_alert_stream(
     requires ``assumed_year``. A path is opened at once and closed when the
     iterator is exhausted, closed or collected unstarted; a file object or
     iterable passed in is never closed, and a binary stream is read through
-    a text wrapper that is detached from it afterwards.
+    a text wrapper that is detached from it afterwards. A path, ``bytes``
+    or a binary stream is decoded as UTF-8 with a leading byte order mark
+    dropped; a text stream or iterable of lines is read as given.
     """
     if fmt not in (EVE_FORMAT, SNORT_FAST_FORMAT, "auto"):
         raise ValueError(f"unknown format {fmt!r}")

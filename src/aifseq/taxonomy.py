@@ -2,8 +2,9 @@
 
 A taxonomy is a two-tier catalog of Action-Intent States (AIS). Macro states
 name what an attacker achieved; each micro state names one way of achieving
-its parent macro. The canonical catalog ships embedded (11 macros, 35 micros)
-and user extensions load from JSON documents of the shape::
+its parent macro. The canonical catalog (11 macros, 35 micros) ships as the
+package file ``aifseq/data/catalog.json``, and it and user extensions are
+JSON documents of the shape::
 
     {"version": "...",
      "macros": [{"key", "display_name", "description"}, ...],
@@ -24,6 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -70,6 +72,10 @@ _DENYLIST_RE = re.compile(
 class AisLevel(str, Enum):
     MACRO = "macro"
     MICRO = "micro"
+
+
+# Each level's array in a taxonomy document, in the order lint reports them.
+_LEVELS = (("macros", AisLevel.MACRO), ("micros", AisLevel.MICRO))
 
 
 class TaxonomyError(ValueError):
@@ -264,30 +270,25 @@ def lint_document(doc: Any) -> list[LintFinding]:
             LintFinding("hard", "missing-version", "version", "version must be non-empty text")
         )
 
-    macro_entries = doc.get("macros")
-    micro_entries = doc.get("micros")
-    if not isinstance(macro_entries, Sequence) or isinstance(macro_entries, (str, bytes)):
-        findings.append(
-            LintFinding("hard", "malformed-document", "macros", "macros must be an array")
-        )
-        macro_entries = []
-    if not isinstance(micro_entries, Sequence) or isinstance(micro_entries, (str, bytes)):
-        findings.append(
-            LintFinding("hard", "malformed-document", "micros", "micros must be an array")
-        )
-        micro_entries = []
+    arrays: dict[AisLevel, Any] = {}
+    for name, level in _LEVELS:
+        entries = doc.get(name)
+        if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
+            findings.append(
+                LintFinding("hard", "malformed-document", name, f"{name} must be an array")
+            )
+            entries = []
+        arrays[level] = entries
 
     macro_keys = {
         e["key"]
-        for e in macro_entries
+        for e in arrays[AisLevel.MACRO]
         if isinstance(e, Mapping) and isinstance(e.get("key"), str)
     }
-    seen_macros: set[str] = set()
-    seen_micros: set[str] = set()
-    for i, entry in enumerate(macro_entries):
-        _lint_entry(entry, AisLevel.MACRO, f"macros[{i}]", macro_keys, seen_macros, findings)
-    for i, entry in enumerate(micro_entries):
-        _lint_entry(entry, AisLevel.MICRO, f"micros[{i}]", macro_keys, seen_micros, findings)
+    for name, level in _LEVELS:
+        seen: set[str] = set()
+        for i, entry in enumerate(arrays[level]):
+            _lint_entry(entry, level, f"{name}[{i}]", macro_keys, seen, findings)
     return findings
 
 
@@ -352,18 +353,25 @@ def to_document(taxonomy: Taxonomy) -> dict:
 
 @lru_cache(maxsize=1)
 def builtin_taxonomy() -> Taxonomy:
-    """The canonical embedded catalog: 11 macros, 35 micros."""
-    from aifseq._catalog import CATALOG_DOCUMENT
+    """The canonical catalog: 11 macros, 35 micros.
 
-    return from_document(CATALOG_DOCUMENT)
+    Read from the package file ``aifseq/data/catalog.json``, which is what
+    ``aifseq taxonomy export`` writes for it, and validated by
+    :func:`from_document` like a user's document. Keys are normalized
+    snake_case; where normalization changed the original catalog spelling
+    (typo fixes, punctuation, and the zero-day micros renamed because they
+    reused macro names), the original spelling is kept in ``original_name``.
+    """
+    text = resources.files("aifseq.data").joinpath("catalog.json").read_text("utf-8")
+    return from_document(json.loads(text))
 
 
 def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxonomy:
     """Load a taxonomy from the builtin catalog, a document, or a JSON file.
 
-    ``None`` or ``"builtin"`` selects the embedded catalog. A string or Path
-    is read as a JSON file; a mapping is treated as an already-parsed
-    document. Raises TaxonomyError on invalid documents, a file the JSON
+    ``None`` or ``"builtin"`` selects the shipped catalog. A string or Path
+    is read as a UTF-8 JSON file, a leading byte order mark dropped; a
+    mapping is treated as an already-parsed document. Raises TaxonomyError on invalid documents, a file the JSON
     parser rejects included, and OSError on unreadable paths.
     """
     if source is None or source == "builtin":
@@ -373,7 +381,7 @@ def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxo
     if isinstance(source, Mapping):
         return from_document(source)
     try:
-        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        doc = json.loads(Path(source).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, too many digits
         raise TaxonomyError(f"taxonomy file is not valid JSON: {exc}") from exc
     return from_document(doc)

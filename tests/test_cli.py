@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from aifseq.sequence import (
     sequence_similarity,
     transition_matrix,
 )
-from aifseq.taxonomy import builtin_taxonomy, load_taxonomy
+from aifseq.taxonomy import builtin_taxonomy, load_taxonomy, to_document
 
 BASE = datetime(2021, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 REPO = Path(__file__).resolve().parents[1]
@@ -112,6 +113,14 @@ def test_taxonomy_export_round_trips(capsys, tmp_path):
     code, _, _ = run(capsys, "taxonomy", "export", "-o", str(target))
     assert code == 0
     assert load_taxonomy(target) == builtin_taxonomy()
+
+
+def test_shipped_catalog_is_the_export(capsys, tmp_path):
+    target = tmp_path / "x.json"
+    code, _, _ = run(capsys, "taxonomy", "export", "-o", str(target))
+    assert code == 0
+    shipped = resources.files("aifseq.data").joinpath("catalog.json").read_bytes()
+    assert target.read_bytes() == shipped
 
 
 def test_validate_mapping_accepts_starter(capsys, tmp_path):
@@ -289,6 +298,22 @@ def test_config_file_the_json_parser_rejects_exits_4(capsys, tmp_path, three_ale
     assert ("finding: " if flag == "--mapping" else "error: ") in err
     assert "is not valid JSON" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_mapping_file_with_a_byte_order_mark_loads(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(starter_mapping_document()).encode("utf-8"))
+    code, out, err = run(capsys, "validate-mapping", "--mapping", str(path))
+    assert (code, err) == (0, "")
+    assert "mapping OK" in out
+
+
+def test_taxonomy_file_with_a_byte_order_mark_loads(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(to_document(builtin_taxonomy())).encode("utf-8"))
+    code, out, err = run(capsys, "taxonomy", "show", "--taxonomy", str(path))
+    assert (code, err) == (0, "")
+    assert "11 macro states, 35 micro states" in out
 
 
 def test_classify_csv_output(capsys, tmp_path, three_alert_feed):

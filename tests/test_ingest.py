@@ -946,6 +946,27 @@ def test_stream_bytes_split_lines_like_a_file(tmp_path):
     alerts.close()
 
 
+@pytest.mark.parametrize("fmt", ["eve", "auto", "snort_fast"])
+@pytest.mark.parametrize("kind", ["bytes", "stream", "path"])
+def test_stream_drops_a_leading_byte_order_mark(tmp_path, kind, fmt):
+    # A BOM kept at the start of the first line made that record malformed,
+    # and with auto made an EVE file look like fast input.
+    line = FAST_LINE if fmt == "snort_fast" else eve_line()
+    data = ("\ufeff" + line + "\n" + line + "\n").encode("utf-8")
+    path = tmp_path / "feed"
+    path.write_bytes(data)
+    source = {"bytes": data, "stream": io.BytesIO(data), "path": path}[kind]
+    alerts, stats = read_alert_stream(source, fmt=fmt, assumed_year=2019)
+    assert [a.raw_ref.index for a in alerts] == [1, 2]
+    assert (stats.alerts_emitted, stats.malformed) == (2, 0)
+
+
+def test_stream_keeps_a_byte_order_mark_in_text_the_caller_decoded():
+    alerts, stats = read_alert_stream(io.StringIO("\ufeff" + eve_line() + "\n"), fmt="eve")
+    assert list(alerts) == []
+    assert stats.malformed == 1
+
+
 def test_stream_from_text_handle():
     handle = io.StringIO(eve_line() + "\n")
     alerts, stats = read_alert_stream(handle, fmt="eve", source_name="stdin")

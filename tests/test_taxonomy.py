@@ -240,6 +240,56 @@ def test_lint_document_survives_garbage():
     assert any(f.code == "malformed-entry" for f in findings)
 
 
+LINT_ORDER_CASES = {
+    "entries": (
+        {
+            "version": "",
+            "macros": [
+                {"key": "alpha", "display_name": "Alpha", "description": "Runs on Windows."},
+                {"key": "alpha", "display_name": " ", "description": "Again."},
+                {"key": "Beta", "display_name": "B", "description": "x", "parent": "alpha"},
+                17,
+            ],
+            "micros": [
+                {"key": SENTINEL_KEY, "display_name": "U", "description": "x", "parent": "alpha"},
+                {"key": "one", "display_name": "One", "description": "", "parent": "gamma"},
+                {"key": "one", "display_name": "One", "description": "y", "original_name": 5},
+                {"key": "alpha", "display_name": "A", "description": "Cisco kit.", "parent": "alpha"},
+            ],
+        },
+        [
+            ("hard", "missing-version", "version"),
+            ("advisory", "platform-term", "macros[0]"),
+            ("hard", "duplicate-key", "macros[1]"),
+            ("hard", "empty-display-name", "macros[1]"),
+            ("hard", "invalid-key", "macros[2]"),
+            ("hard", "unexpected-parent", "macros[2]"),
+            ("hard", "malformed-entry", "macros[3]"),
+            ("hard", "reserved-key", "micros[0]"),
+            ("hard", "empty-description", "micros[1]"),
+            ("hard", "dangling-parent", "micros[1]"),
+            ("hard", "duplicate-key", "micros[2]"),
+            ("hard", "missing-parent", "micros[2]"),
+            ("hard", "invalid-original-name", "micros[2]"),
+            ("advisory", "platform-term", "micros[3]"),
+        ],
+    ),
+    "arrays": (
+        {"version": 3, "macros": "alpha", "micros": {"key": "one"}},
+        [
+            ("hard", "missing-version", "version"),
+            ("hard", "malformed-document", "macros"),
+            ("hard", "malformed-document", "micros"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(("doc", "expected"), LINT_ORDER_CASES.values(), ids=LINT_ORDER_CASES.keys())
+def test_lint_findings_come_in_document_order_at_both_levels(doc, expected):
+    assert [(f.severity, f.code, f.location) for f in lint_document(doc)] == expected
+
+
 def test_taxonomy_equality_is_field_for_field():
     doc = minimal_doc()
     a = from_document(doc)
