@@ -44,7 +44,6 @@ from aifseq.sequence import (
     transition_matrix,
 )
 from aifseq.taxonomy import (
-    AisId,
     AisLevel,
     AisRecord,
     LintFinding,
@@ -59,7 +58,6 @@ from aifseq.taxonomy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AisId",
     "AisLevel",
     "AisRecord",
     "AisSequence",

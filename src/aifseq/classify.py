@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Any, Callable, Iterable, Iterator
@@ -340,13 +340,7 @@ class CoverageReport:
     unclassified_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "rule_hits": dict(self.rule_hits),
-            "micro_counts": dict(self.micro_counts),
-            "macro_counts": dict(self.macro_counts),
-            "unclassified_fraction": self.unclassified_fraction,
-        }
+        return asdict(self)
 
 
 def coverage_report(spec: MappingSpec, classified: Iterable[Classification]) -> CoverageReport:

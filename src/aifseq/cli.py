@@ -36,6 +36,8 @@ from aifseq.ingest import (
     read_alert_stream,
 )
 from aifseq.sequence import (
+    DEFAULT_GAP_SECONDS,
+    DEFAULT_SKEW_SECONDS,
     STEP_COLUMNS,
     OutOfOrderError,
     build_sequences,
@@ -44,7 +46,13 @@ from aifseq.sequence import (
     sequence_to_document,
     transition_matrix,
 )
-from aifseq.taxonomy import TaxonomyError, builtin_taxonomy, load_taxonomy, to_document
+from aifseq.taxonomy import (
+    TaxonomyError,
+    builtin_taxonomy,
+    load_taxonomy,
+    read_document,
+    to_document,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
     sequence.add_argument(
         "--gap-seconds",
         type=_seconds,
-        default=600.0,
-        help="episode boundary: split where the gap exceeds this (default 600)",
+        default=DEFAULT_GAP_SECONDS,
+        help="episode boundary: split where the gap exceeds this (default %(default)g)",
     )
     sequence.add_argument(
         "--skew-seconds",
         type=_seconds,
-        default=5.0,
-        help="re-sort window for slightly out-of-order input (default 5)",
+        default=DEFAULT_SKEW_SECONDS,
+        help="re-sort window for slightly out-of-order input (default %(default)g)",
     )
     sequence.add_argument("--key", choices=sorted(_KEYS), default="src")
     sequence.add_argument(
@@ -178,9 +186,9 @@ def _load_mapping_spec(path: str | None, taxonomy):
     if path is None:
         return load_mapping(starter_mapping_document(), taxonomy), "builtin:starter"
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, too many digits
-        raise MappingError([f"{path} is not valid JSON: {exc}"]) from None
+        document = read_document(path)
+    except ValueError as exc:
+        raise MappingError([str(exc)]) from None
     return load_mapping(document, taxonomy), path
 
 

@@ -20,7 +20,7 @@ import io
 import json
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from ipaddress import ip_address
@@ -163,13 +163,7 @@ class IngestStats:
         return self.records_seen == self.alerts_emitted + self.non_alert_skipped + self.malformed
 
     def to_dict(self) -> dict:
-        return {
-            "records_seen": self.records_seen,
-            "alerts_emitted": self.alerts_emitted,
-            "non_alert_skipped": self.non_alert_skipped,
-            "malformed": self.malformed,
-            "first_error_samples": [list(pair) for pair in self.first_error_samples],
-        }
+        return asdict(self)
 
 
 def _parse_timestamp(text: Any, ref: RawRef) -> datetime:

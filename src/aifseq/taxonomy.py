@@ -11,9 +11,11 @@ JSON documents of the shape::
      "micros": [{"key", "display_name", "description", "parent"}, ...]}
 
 Entries may carry an optional ``original_name`` with the spelling used before
-key normalization. A reserved ``unclassified`` micro (under a reserved
-``unclassified`` macro) is implicit in every taxonomy and never serialized;
-it is the sentinel verdict for alerts no mapping rule covers.
+key normalization. A built state is an :class:`AisRecord`: the entry's fields
+and its level, which with its key names it; a micro's ``parent`` is its
+macro's key, as in the document. A reserved ``unclassified`` micro (under a
+reserved ``unclassified`` macro) is implicit in every taxonomy and never
+serialized; it is the sentinel verdict for alerts no mapping rule covers.
 
 Taxonomies are immutable once built and safe to share across threads.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -95,26 +97,15 @@ class UnknownAisKey(KeyError):
 
 
 @dataclass(frozen=True)
-class AisId:
+class AisRecord:
+    """One state; ``to_document`` writes its fields after ``level``, in this order."""
+
     level: AisLevel
     key: str
-
-
-@dataclass(frozen=True)
-class AisRecord:
-    id: AisId
     display_name: str
     description: str
-    parent: AisId | None = None
+    parent: str | None = None
     original_name: str | None = None
-
-    @property
-    def level(self) -> AisLevel:
-        return self.id.level
-
-    @property
-    def key(self) -> str:
-        return self.id.key
 
 
 @dataclass(frozen=True)
@@ -129,15 +120,17 @@ class LintFinding:
 
 
 SENTINEL_MACRO = AisRecord(
-    id=AisId(AisLevel.MACRO, SENTINEL_KEY),
+    AisLevel.MACRO,
+    SENTINEL_KEY,
     display_name="Unclassified",
     description="Reserved sentinel for alerts outside the taxonomy.",
 )
 SENTINEL_MICRO = AisRecord(
-    id=AisId(AisLevel.MICRO, SENTINEL_KEY),
+    AisLevel.MICRO,
+    SENTINEL_KEY,
     display_name="Unclassified",
     description="Reserved sentinel for alerts no mapping rule covers.",
-    parent=SENTINEL_MACRO.id,
+    parent=SENTINEL_KEY,
 )
 
 
@@ -150,31 +143,31 @@ class Taxonomy:
     micros: tuple[AisRecord, ...]
 
     @cached_property
-    def _records(self) -> dict[AisId, AisRecord]:
+    def _records(self) -> dict[tuple[AisLevel, str], AisRecord]:
         records = (SENTINEL_MACRO, SENTINEL_MICRO, *self.macros, *self.micros)
-        return {r.id: r for r in records}
+        return {(r.level, r.key): r for r in records}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
         children: dict[str, list[str]] = {r.key: [] for r in self.macros}
         children[SENTINEL_KEY] = [SENTINEL_KEY]
         for r in self.micros:
-            children[r.parent.key].append(r.key)
+            children[r.parent].append(r.key)
         return {k: tuple(v) for k, v in children.items()}
 
     def has(self, level: AisLevel | str, key: str) -> bool:
-        return AisId(AisLevel(level), key) in self._records
+        return (AisLevel(level), key) in self._records
 
     def describe(self, level: AisLevel | str, key: str) -> AisRecord:
         """Full record for a key, sentinel included."""
         try:
-            return self._records[AisId(AisLevel(level), key)]
+            return self._records[AisLevel(level), key]
         except KeyError:
             raise UnknownAisKey(f"unknown {AisLevel(level).value} key {key!r}") from None
 
     def macro_of(self, micro_key: str) -> str:
         """Parent macro key of a micro key."""
-        return self.describe(AisLevel.MICRO, micro_key).parent.key
+        return self.describe(AisLevel.MICRO, micro_key).parent
 
     def micros_of(self, macro_key: str) -> tuple[str, ...]:
         """Micro keys under a macro, in catalog order."""
@@ -305,13 +298,13 @@ def validate_extension(taxonomy_or_doc: Taxonomy | Mapping) -> list[LintFinding]
 
 
 def _record(entry: Mapping, level: AisLevel) -> AisRecord:
-    parent = entry.get("parent")
     return AisRecord(
-        id=AisId(level, entry["key"]),
-        display_name=entry["display_name"],
-        description=entry["description"],
-        parent=AisId(AisLevel.MACRO, parent) if parent is not None else None,
-        original_name=entry.get("original_name"),
+        level,
+        entry["key"],
+        entry["display_name"],
+        entry["description"],
+        entry.get("parent"),
+        entry.get("original_name"),
     )
 
 
@@ -333,16 +326,7 @@ def to_document(taxonomy: Taxonomy) -> dict:
     """Serialize to document shape; inverse of :func:`from_document`."""
 
     def entry(record: AisRecord) -> dict:
-        out: dict[str, Any] = {
-            "key": record.key,
-            "display_name": record.display_name,
-            "description": record.description,
-        }
-        if record.parent is not None:
-            out["parent"] = record.parent.key
-        if record.original_name is not None:
-            out["original_name"] = record.original_name
-        return out
+        return {k: v for k, v in asdict(record).items() if k != "level" and v is not None}
 
     return {
         "version": taxonomy.version,
@@ -366,13 +350,26 @@ def builtin_taxonomy() -> Taxonomy:
     return from_document(json.loads(text))
 
 
+def read_document(path: str | Path) -> Any:
+    """A JSON config file, decoded as UTF-8 with a leading byte order mark dropped.
+
+    Raises ValueError naming the file when it is not UTF-8 or not JSON the
+    parser takes (too deep, too many digits included), and OSError when it
+    cannot be read.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxonomy:
     """Load a taxonomy from the builtin catalog, a document, or a JSON file.
 
     ``None`` or ``"builtin"`` selects the shipped catalog. A string or Path
-    is read as a UTF-8 JSON file, a leading byte order mark dropped; a
-    mapping is treated as an already-parsed document. Raises TaxonomyError on invalid documents, a file the JSON
-    parser rejects included, and OSError on unreadable paths.
+    is read with :func:`read_document`; a mapping is treated as an
+    already-parsed document. Raises TaxonomyError on invalid documents, a
+    file the JSON parser rejects included, and OSError on unreadable paths.
     """
     if source is None or source == "builtin":
         return builtin_taxonomy()
@@ -381,7 +378,7 @@ def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxo
     if isinstance(source, Mapping):
         return from_document(source)
     try:
-        doc = json.loads(Path(source).read_text(encoding="utf-8-sig"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, too many digits
-        raise TaxonomyError(f"taxonomy file is not valid JSON: {exc}") from exc
+        doc = read_document(source)
+    except ValueError as exc:
+        raise TaxonomyError(str(exc)) from None
     return from_document(doc)

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aifseq.cli import _CLASSIFICATION_COLUMNS, _classification_row, _csv_field, main
+from aifseq.cli import _CLASSIFICATION_COLUMNS, _classification_row, _csv_field, build_parser, main
 from aifseq.classify import classify_stream, load_mapping, starter_mapping_document
 from aifseq.ingest import read_alert_stream
 from aifseq.sequence import (
+    DEFAULT_GAP_SECONDS,
+    DEFAULT_SKEW_SECONDS,
     STEP_COLUMNS,
     build_sequences,
     episode_step_rows,
@@ -296,7 +298,7 @@ def test_config_file_the_json_parser_rejects_exits_4(capsys, tmp_path, three_ale
     assert code == 4
     assert "Traceback" not in err
     assert ("finding: " if flag == "--mapping" else "error: ") in err
-    assert "is not valid JSON" in err
+    assert f"{config} is not valid JSON" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -519,6 +521,11 @@ def test_sequence_rejects_non_finite_thresholds(capsys, tmp_path, flag, value):
     assert code == 2
     assert "finite" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_bare_sequence_parse_takes_the_library_defaults():
+    args = build_parser().parse_args(["sequence", "--input", "in", "--out", "out"])
+    assert (args.gap_seconds, args.skew_seconds) == (DEFAULT_GAP_SECONDS, DEFAULT_SKEW_SECONDS)
 
 
 @pytest.mark.parametrize("value", ["0", "x"])

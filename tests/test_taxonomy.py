@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import aifseq
 from aifseq.taxonomy import (
     AisLevel,
+    AisRecord,
     SENTINEL_KEY,
     Taxonomy,
     TaxonomyError,
@@ -52,7 +54,7 @@ def test_builtin_counts():
 def test_builtin_matches_transcribed_table_row_for_row():
     t = builtin_taxonomy()
     generated = [
-        {"micro_key": r.key, "micro_display": r.display_name, "macro_key": r.parent.key}
+        {"micro_key": r.key, "micro_display": r.display_name, "macro_key": r.parent}
         for r in t.micros
     ]
     assert generated == fixture_rows()
@@ -343,3 +345,23 @@ def test_randomized_mutations_preserve_partition_and_round_trip():
         assert from_document(to_document(t)) == t
         grouped = [m for macro in t.macro_keys() for m in t.micros_of(macro)]
         assert sorted(grouped) == sorted(t.micro_keys())
+
+
+def test_records_name_their_level_key_and_parent_macro_key():
+    t = builtin_taxonomy()
+    micro_key = t.micro_keys()[0]
+    record = t.describe("micro", micro_key)
+    assert (record.level, record.key) == (AisLevel.MICRO, micro_key)
+    assert record.parent == t.macro_of(micro_key) == t.macro_keys()[0]
+    assert t.describe(AisLevel.MACRO, record.parent).parent is None
+    assert t.describe("micro", SENTINEL_KEY).parent == SENTINEL_KEY
+    assert AisRecord(AisLevel.MACRO, "k", "K", "d") == AisRecord(
+        level=AisLevel.MACRO, key="k", display_name="K", description="d"
+    )
+
+
+def test_package_exports_resolve_once_each():
+    assert all(hasattr(aifseq, name) for name in aifseq.__all__)
+    assert len(set(aifseq.__all__)) == len(aifseq.__all__)
+    assert "AisId" not in aifseq.__all__
+    assert not hasattr(aifseq, "AisId")
