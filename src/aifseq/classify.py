@@ -16,7 +16,6 @@ the engine makes no assumption about which mapping is loaded.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -25,7 +24,7 @@ from importlib import resources
 from typing import Any, Callable, Iterable, Iterator
 
 from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert
-from aifseq.taxonomy import SENTINEL_KEY, Taxonomy
+from aifseq.taxonomy import SENTINEL_KEY, Taxonomy, read_document, summarize_findings
 
 # Distinct verdict keys one stream's memo holds before it starts over.
 _VERDICT_MEMO_SIZE = 4096
@@ -36,11 +35,7 @@ class MappingError(ValueError):
 
     def __init__(self, findings: list[str]):
         self.findings = list(findings)
-        shown = "; ".join(self.findings[:3])
-        extra = len(self.findings) - 3
-        if extra > 0:
-            shown += f" (+{extra} more)"
-        super().__init__(f"invalid mapping: {shown}")
+        super().__init__(f"invalid mapping: {summarize_findings(self.findings)}")
 
 
 @dataclass(frozen=True)
@@ -369,5 +364,4 @@ def coverage_report(spec: MappingSpec, classified: Iterable[Classification]) -> 
 
 def starter_mapping_document() -> dict:
     """A fresh copy of the shipped classtype mapping document."""
-    text = resources.files("aifseq.data").joinpath("starter_mapping.json").read_text("utf-8")
-    return json.loads(text)
+    return read_document(resources.files("aifseq.data") / "starter_mapping.json")

@@ -6,8 +6,8 @@ Subcommands: ``taxonomy`` (show/export), ``validate-mapping``, ``classify``,
 JSON or RFC-4180 CSV, and output bytes depend only on inputs and config
 (the manifest's ``generated_at`` is the one wall-clock field).
 
-Exit codes: 0 success, 2 usage, 3 input I/O, 4 invalid mapping or
-taxonomy, 5 input unsorted beyond the skew window.
+Exit codes: 0 success, 2 usage, 3 input or output I/O, 4 invalid mapping
+or taxonomy, 5 input unsorted beyond the skew window.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from aifseq import __version__
@@ -217,7 +217,7 @@ def _cmd_taxonomy_show(args: argparse.Namespace) -> int:
 def _cmd_taxonomy_export(args: argparse.Namespace) -> int:
     taxonomy = _load_active_taxonomy(args.taxonomy)
     path = Path(args.output)
-    path.write_text(json.dumps(to_document(taxonomy), indent=2) + "\n", encoding="utf-8")
+    _write_json(path, to_document(taxonomy))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -266,6 +266,10 @@ def _classification_row(alert, verdict) -> list:
     ]
 
 
+def _write_json(path: Path, document) -> None:
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_ndjson(path: Path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -291,22 +295,19 @@ def _write_csv(path: Path, rows) -> None:
         fh.writelines(",".join(map(_csv_field, row)) + "\r\n" for row in rows)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, stats, outputs: list[str]) -> None:
-    manifest = {
-        "tool": f"aifseq {__version__}",
-        "command": command,
-        "config": config,
-        "ingest_stats": stats.to_dict(),
-        "outputs": outputs,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+# The options ``sequence`` adds to the input options, in manifest order.
+_SEQUENCE_CONFIG = (
+    "gap_seconds", "skew_seconds", "key", "transitions", "similarity", "ngram_n",
+    "uncollapsed_transitions",
+)
 
 
-def _base_config(args: argparse.Namespace, taxonomy, spec, mapping_source: str) -> dict:
-    return {
+def _write_manifest(
+    args: argparse.Namespace, taxonomy, spec, mapping_source: str, stats, outputs: list[str],
+    extra_config: tuple[str, ...] = (),
+) -> None:
+    """``manifest.json``: every resolved setting of the run, then what it read and wrote."""
+    config = {
         "input": args.input,
         "format": args.format,
         "assumed_year": args.assumed_year,
@@ -317,11 +318,22 @@ def _base_config(args: argparse.Namespace, taxonomy, spec, mapping_source: str) 
         "default_confidence": spec.default_confidence,
         "output_format": args.output_format,
         "include_unclassified": args.include_unclassified,
+        **{name: getattr(args, name) for name in extra_config},
     }
+    _write_json(Path(args.out) / "manifest.json", {
+        "tool": f"aifseq {__version__}",
+        "command": args.command,
+        "config": config,
+        "ingest_stats": stats.to_dict(),
+        "outputs": outputs,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+    })
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     taxonomy, spec, mapping_source, classified, stats = _read_classified(args)
+    # The first record settles the input format, so a run that fails on it leaves no --out.
+    classified = chain(list(islice(classified, 1)), classified)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     verdicts = []
@@ -339,13 +351,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _write_csv(out_dir / name, chain([_CLASSIFICATION_COLUMNS], rows()))
 
     report = coverage_report(spec, verdicts)
-    (out_dir / "coverage.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    outputs = [name, "coverage.json"]
-
-    config = _base_config(args, taxonomy, spec, mapping_source)
-    _write_manifest(out_dir, "classify", config, stats, outputs)
+    _write_json(out_dir / "coverage.json", report.to_dict())
+    _write_manifest(args, taxonomy, spec, mapping_source, stats, [name, "coverage.json"])
     print(
         f"classified {report.total} alerts "
         f"({report.unclassified_fraction:.3f} unclassified fraction) -> {out_dir}"
@@ -420,19 +427,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         _write_similarity_csv(out_dir / "similarity.csv", sequences, method, args.ngram_n)
         outputs.append("similarity.csv")
 
-    config = _base_config(args, taxonomy, spec, mapping_source)
-    config.update(
-        {
-            "gap_seconds": args.gap_seconds,
-            "skew_seconds": args.skew_seconds,
-            "key": args.key,
-            "transitions": args.transitions,
-            "similarity": args.similarity,
-            "ngram_n": args.ngram_n,
-            "uncollapsed_transitions": args.uncollapsed_transitions,
-        }
-    )
-    _write_manifest(out_dir, "sequence", config, stats, outputs)
+    _write_manifest(args, taxonomy, spec, mapping_source, stats, outputs, _SEQUENCE_CONFIG)
     print(f"wrote {len(sequences)} sequences -> {out_dir}")
     return EXIT_OK
 

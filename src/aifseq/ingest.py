@@ -20,7 +20,7 @@ import io
 import json
 import re
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from ipaddress import ip_address
@@ -56,11 +56,7 @@ MEMO_TEXT_LIMIT = 512
 
 
 def _memo(cache, text: str):
-    """``cache(text)``, or the function behind it for a text over the limit.
-
-    The fast parser applies the same test inline to its two lookups per
-    line, where the extra call would cost as much as the lookup.
-    """
+    """``cache(text)``, or the function behind it for a text over the limit."""
     return cache(text) if len(text) <= MEMO_TEXT_LIMIT else cache.__wrapped__(text)
 
 
@@ -125,21 +121,8 @@ class NormalizedAlert:
     raw_ref: RawRef
 
     def content_fields(self) -> tuple:
-        """Everything except provenance (source_format, raw_ref)."""
-        return (
-            self.timestamp,
-            self.src_ip,
-            self.src_port,
-            self.dst_ip,
-            self.dst_port,
-            self.protocol,
-            self.generator_id,
-            self.signature_id,
-            self.revision,
-            self.signature_msg,
-            self.category,
-            self.severity,
-        )
+        """Every field before the provenance pair (source_format, raw_ref) that ends the class."""
+        return tuple(getattr(self, f.name) for f in fields(self)[:-2])
 
 
 @dataclass
@@ -315,7 +298,7 @@ def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | N
             raise AlertParseError(f"invalid endpoint {text!r}", ref)
     else:
         addr, port = text, None
-    addr = _valid_ip(addr) if len(addr) <= MEMO_TEXT_LIMIT else _valid_ip.__wrapped__(addr)
+    addr = _memo(_valid_ip, addr)
     if addr is None:
         raise AlertParseError(f"invalid endpoint {text!r}", ref)
     return addr, port
@@ -337,11 +320,7 @@ def _split_fast_line(line: str) -> tuple[tuple[str, ...], tuple | str, str, str]
     parts = line[stamp.end():].rsplit(None, 3)
     if len(parts) != 4 or parts[2] != "->":
         return None
-    segment = parts[0]
-    if len(segment) <= MEMO_TEXT_LIMIT:
-        signature = _fast_signature(segment)
-    else:
-        signature = _fast_signature.__wrapped__(segment)
+    signature = _memo(_fast_signature, parts[0])
     if signature is None:
         return None
     return stamp.groups(), signature, parts[1], parts[3]

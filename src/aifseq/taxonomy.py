@@ -297,6 +297,12 @@ def validate_extension(taxonomy_or_doc: Taxonomy | Mapping) -> list[LintFinding]
     return lint_document(taxonomy_or_doc)
 
 
+def summarize_findings(findings: Sequence) -> str:
+    """The first three findings joined by ``; ``, then ``(+N more)`` for the rest."""
+    more = f" (+{len(findings) - 3} more)" if len(findings) > 3 else ""
+    return "; ".join(map(str, findings[:3])) + more
+
+
 def _record(entry: Mapping, level: AisLevel) -> AisRecord:
     return AisRecord(
         level,
@@ -312,9 +318,7 @@ def from_document(doc: Mapping) -> Taxonomy:
     """Build a validated Taxonomy; raises TaxonomyError on hard findings."""
     hard = [f for f in lint_document(doc) if f.severity == "hard"]
     if hard:
-        head = "; ".join(str(f) for f in hard[:3])
-        more = f" (+{len(hard) - 3} more)" if len(hard) > 3 else ""
-        raise TaxonomyError(f"invalid taxonomy document: {head}{more}", hard)
+        raise TaxonomyError(f"invalid taxonomy document: {summarize_findings(hard)}", hard)
     return Taxonomy(
         version=doc["version"],
         macros=tuple(_record(e, AisLevel.MACRO) for e in doc["macros"]),
@@ -346,16 +350,17 @@ def builtin_taxonomy() -> Taxonomy:
     (typo fixes, punctuation, and the zero-day micros renamed because they
     reused macro names), the original spelling is kept in ``original_name``.
     """
-    text = resources.files("aifseq.data").joinpath("catalog.json").read_text("utf-8")
-    return from_document(json.loads(text))
+    return from_document(read_document(resources.files("aifseq.data") / "catalog.json"))
 
 
 def read_document(path: str | Path) -> Any:
-    """A JSON config file, decoded as UTF-8 with a leading byte order mark dropped.
+    """A JSON document, decoded as UTF-8 with a leading byte order mark dropped.
 
-    Raises ValueError naming the file when it is not UTF-8 or not JSON the
-    parser takes (too deep, too many digits included), and OSError when it
-    cannot be read.
+    Every document aifseq reads comes through here: a user's taxonomy or
+    mapping file, and the package's catalog and starter mapping. Raises
+    ValueError naming the file when it is not UTF-8 or not JSON the parser
+    takes (too deep, too many digits included), and OSError when it cannot
+    be read.
     """
     try:
         return json.loads(Path(path).read_text(encoding="utf-8-sig"))
@@ -363,20 +368,17 @@ def read_document(path: str | Path) -> Any:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_taxonomy(source: Taxonomy | Mapping | str | Path | None = None) -> Taxonomy:
-    """Load a taxonomy from the builtin catalog, a document, or a JSON file.
+def load_taxonomy(source: str | Path | None = None) -> Taxonomy:
+    """Load the builtin catalog or a taxonomy JSON file.
 
-    ``None`` or ``"builtin"`` selects the shipped catalog. A string or Path
-    is read with :func:`read_document`; a mapping is treated as an
-    already-parsed document. Raises TaxonomyError on invalid documents, a
-    file the JSON parser rejects included, and OSError on unreadable paths.
+    ``None`` or ``"builtin"`` selects the shipped catalog; any other string
+    or a Path names a file, read with :func:`read_document`. A document
+    already parsed goes to :func:`from_document`. Raises TaxonomyError on an
+    invalid document, a file the JSON parser rejects included, and OSError
+    on an unreadable path.
     """
     if source is None or source == "builtin":
         return builtin_taxonomy()
-    if isinstance(source, Taxonomy):
-        return source
-    if isinstance(source, Mapping):
-        return from_document(source)
     try:
         doc = read_document(source)
     except ValueError as exc:

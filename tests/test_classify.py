@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aifseq import classify
 from aifseq.classify import (
     Classification,
     MappingError,
@@ -19,7 +20,7 @@ from aifseq.classify import (
     load_mapping,
     starter_mapping_document,
 )
-from aifseq.ingest import NormalizedAlert, RawRef
+from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert, RawRef
 from aifseq.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -542,6 +543,30 @@ def test_stream_memo_returns_the_oracle_verdict(alerts):
     # a rule reads; classify_alert scans the rules every time.
     for alert, verdict in classify_stream(alerts, MEMO_SPEC, TAX):
         assert verdict is classify_alert(alert, MEMO_SPEC, TAX)
+
+
+def test_long_texts_bypass_the_stream_memo(monkeypatch):
+    # An alert whose message and category together run over MEMO_TEXT_LIMIT
+    # is scanned every time it comes; a short key is scanned once.
+    calls = []
+
+    def counting(alert, spec, taxonomy):
+        calls.append(alert)
+        return classify_alert(alert, spec, taxonomy)
+
+    monkeypatch.setattr(classify, "classify_alert", counting)
+    short = [make_alert(**NEUTRAL), make_alert(**DECISIVE)]
+    half = "m" * (MEMO_TEXT_LIMIT // 2 + 1)
+    long = [
+        make_alert(signature_msg="ET probe " + "x" * MEMO_TEXT_LIMIT),
+        make_alert(signature_msg=half, category=half),
+    ]
+    alerts = (short + long) * 3
+    pairs = list(classify_stream(alerts, MEMO_SPEC, TAX))
+    assert [alert for alert, _ in pairs] == alerts
+    for alert, verdict in pairs:
+        assert verdict is classify_alert(alert, MEMO_SPEC, TAX)
+    assert calls == short + long * 3
 
 
 def test_coverage_report_counts():

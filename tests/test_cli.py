@@ -252,10 +252,21 @@ def test_classify_empty_rule_set_marks_everything_unclassified(capsys, tmp_path)
     assert coverage["unclassified_fraction"] == 1.0
 
 
-def test_classify_missing_input_exits_3(capsys, tmp_path):
+def test_classify_missing_input_exits_3(capsys, tmp_path, three_alert_feed):
     code, _, err = run(
         capsys, "classify", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")
     )
+    assert code == 3
+    assert "error:" in err
+
+    # An output that cannot be written is an I/O error too: --out under a
+    # regular file, and an export into a missing directory.
+    code, _, err = run(
+        capsys, "classify", "--input", str(three_alert_feed), "--out", str(three_alert_feed / "o")
+    )
+    assert code == 3
+    assert "error:" in err
+    code, _, err = run(capsys, "taxonomy", "export", "-o", str(tmp_path / "missing" / "t.json"))
     assert code == 3
     assert "error:" in err
 
@@ -361,6 +372,7 @@ def test_fast_format_requires_year(capsys, tmp_path):
     # A failed run never writes a manifest, even where --out already exists.
     assert not (tmp_path / "o" / "manifest.json").exists()
     assert not (tmp_path / "o2" / "manifest.json").exists()
+    assert not (tmp_path / "o2").exists()
 
 
 def test_fast_format_with_year_classifies(capsys, tmp_path):

@@ -415,6 +415,8 @@ def fast_like_lines(draw):
 @example(line="05/01-08:00:00.000001 [**] [1:2:3] a\nb [**] {T} a -> b")
 @example(line="05/01-08:00:00.000001 [**] [1:2:3] [**] [**] [**] {T} a -> b")
 @example(line="05/01-08:00:00.000001 [**] [1:2:3] [**] {T} a -> b")
+@example(line="05/01-08:00:00.000001 [**] [1:2:3] {T} a -> b")
+@example(line="05/01-08:00:00.000001 [**] [1:2:3]  [**] junk {T} a -> b")
 def test_fast_split_matches_the_regex_oracle(line):
     assert _split_fast_line(line) == oracle_split(line)
 
