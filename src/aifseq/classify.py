@@ -56,22 +56,22 @@ class Classification:
 class MappingRule:
     """One classification rule: a predicate conjunction and its verdict.
 
-    ``predicates`` holds ``(name, compiled value)`` pairs in ``_PREDICATES`` order.
+    ``predicates`` holds ``(test, compiled value)`` pairs in ``_PREDICATES`` order.
     """
 
     rule_id: str
     priority: int
     target_micro: str
     verdict: Classification
-    predicates: tuple[tuple[str, Any], ...]
+    predicates: tuple[tuple[Callable[[NormalizedAlert, str, Any], bool], Any], ...]
 
     @property
     def predicate_count(self) -> int:
         return len(self.predicates)
 
     def matches(self, alert: NormalizedAlert, msg_lower: str) -> bool:
-        for name, value in self.predicates:
-            if not _PREDICATES[name][1](alert, msg_lower, value):
+        for test, value in self.predicates:
+            if not test(alert, msg_lower, value):
                 return False
         return True
 
@@ -226,7 +226,7 @@ def _parse_rule(raw: Any, taxonomy: Taxonomy, default_confidence: float) -> Mapp
     if unknown:
         raise ValueError(f"unknown predicate {sorted(unknown)[0]!r}")
     predicates = tuple(
-        (name, parse(match[name])) for name, (parse, _) in _PREDICATES.items() if name in match
+        (test, parse(match[name])) for name, (parse, test) in _PREDICATES.items() if name in match
     )
 
     matched_rule = rule_id if target != SENTINEL_KEY else None

@@ -6,8 +6,9 @@ Subcommands: ``taxonomy`` (show/export), ``validate-mapping``, ``classify``,
 JSON or RFC-4180 CSV, and output bytes depend only on inputs and config
 (the manifest's ``generated_at`` is the one wall-clock field).
 
-Exit codes: 0 success, 2 usage, 3 input or output I/O, 4 invalid mapping
-or taxonomy, 5 input unsorted beyond the skew window.
+Exit codes: 0 success (also when the reader of stdout closes it early),
+2 usage, 3 input or output I/O, 4 invalid mapping or taxonomy, 5 input
+unsorted beyond the skew window.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -97,11 +99,10 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
         "--assumed-year",
         # datetime's range: a year outside it would make every fast line malformed.
         type=_number(int, lambda value: 1 <= value <= 9999, "must be a year from 1 to 9999"),
-        default=None,
         help="year for fast-format timestamps (the format carries none); required for fast input",
     )
-    sub.add_argument("--mapping", default=None, help="mapping JSON (default: builtin starter)")
-    sub.add_argument("--taxonomy", default=None, help="taxonomy JSON (default: builtin)")
+    sub.add_argument("--mapping", help="mapping JSON (default: builtin starter)")
+    sub.add_argument("--taxonomy", help="taxonomy JSON (default: builtin)")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--output-format", choices=["json", "csv"], default="json")
     sub.add_argument(
@@ -122,17 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     tax = commands.add_parser("taxonomy", help="show or export the active taxonomy")
     tax_sub = tax.add_subparsers(dest="taxonomy_command", required=True)
     show = tax_sub.add_parser("show", help="list macro groups and their micro states")
-    show.add_argument("--taxonomy", default=None)
-    show.add_argument("--macro", default=None, help="limit the listing to one macro group")
+    show.add_argument("--taxonomy")
+    show.add_argument("--macro", help="limit the listing to one macro group")
     show.set_defaults(handler=_cmd_taxonomy_show)
     export = tax_sub.add_parser("export", help="write the taxonomy document as JSON")
-    export.add_argument("--taxonomy", default=None)
+    export.add_argument("--taxonomy")
     export.add_argument("-o", "--output", required=True)
     export.set_defaults(handler=_cmd_taxonomy_export)
 
     validate = commands.add_parser("validate-mapping", help="check a mapping document")
     validate.add_argument("--mapping", required=True)
-    validate.add_argument("--taxonomy", default=None)
+    validate.add_argument("--taxonomy")
     validate.set_defaults(handler=_cmd_validate_mapping)
 
     classify = commands.add_parser("classify", help="classify an alert file")
@@ -157,13 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     sequence.add_argument(
         "--transitions",
         choices=["micro", "macro", "both"],
-        default=None,
         help="also write transition matrix CSVs at this level",
     )
     sequence.add_argument(
         "--similarity",
         choices=["lcs", "ngram"],
-        default=None,
         help="also write pairwise attacker similarity CSV",
     )
     sequence.add_argument(
@@ -303,8 +302,7 @@ _SEQUENCE_CONFIG = (
 
 
 def _write_manifest(
-    args: argparse.Namespace, taxonomy, spec, mapping_source: str, stats, outputs: list[str],
-    extra_config: tuple[str, ...] = (),
+    args: argparse.Namespace, taxonomy, spec, mapping_source: str, stats, outputs: list[str]
 ) -> None:
     """``manifest.json``: every resolved setting of the run, then what it read and wrote."""
     config = {
@@ -318,7 +316,7 @@ def _write_manifest(
         "default_confidence": spec.default_confidence,
         "output_format": args.output_format,
         "include_unclassified": args.include_unclassified,
-        **{name: getattr(args, name) for name in extra_config},
+        **{name: getattr(args, name) for name in _SEQUENCE_CONFIG if args.command == "sequence"},
     }
     _write_json(Path(args.out) / "manifest.json", {
         "tool": f"aifseq {__version__}",
@@ -427,7 +425,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         _write_similarity_csv(out_dir / "similarity.csv", sequences, method, args.ngram_n)
         outputs.append("similarity.csv")
 
-    _write_manifest(args, taxonomy, spec, mapping_source, stats, outputs, _SEQUENCE_CONFIG)
+    _write_manifest(args, taxonomy, spec, mapping_source, stats, outputs)
     print(f"wrote {len(sequences)} sequences -> {out_dir}")
     return EXIT_OK
 
@@ -444,7 +442,14 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone; every output file is written. Point
+        # stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

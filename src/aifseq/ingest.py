@@ -504,16 +504,14 @@ def _line_iter(source: Any) -> tuple[Iterator[str], str]:
     A path, ``bytes`` or a binary stream is decoded as ``utf-8-sig``, so a
     leading byte order mark is dropped; text the caller decoded is read as
     it is. Closing the lines releases only what this function opened: the
-    file a path names, or the reader it builds over ``bytes``. A stream or
-    iterable the caller passed in stays open.
+    file a path names. A stream or iterable the caller passed in stays open.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         fh = open(path, "r", encoding="utf-8-sig", errors="replace")
         return fh, path.name
     if isinstance(source, (bytes, bytearray)):
-        reader = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", errors="replace")
-        return reader, "<bytes>"
+        return _decoded_lines(io.BytesIO(source)), "<bytes>"
     name = (hasattr(source, "read") and getattr(source, "name", None)) or "<stream>"
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         return _decoded_lines(source), name
@@ -521,7 +519,7 @@ def _line_iter(source: Any) -> tuple[Iterator[str], str]:
 
 
 def _decoded_lines(stream: IO[bytes]) -> Iterator[str]:
-    """Lines of a caller's binary stream; the stream stays open afterwards."""
+    """Lines of a binary stream decoded as ``utf-8-sig``; the stream stays open afterwards."""
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace")
     try:
         yield from text

@@ -279,11 +279,8 @@ def transition_matrix(
     label_lists: list[list[str]] = []
     for seq in seqs:
         for episode in seq.episodes:
-            if collapsed:
-                source: Sequence[SequenceStep] = [step for step, _ in episode.collapsed_runs]
-            else:
-                source = episode.steps
-            label_lists.append([label_of(step) for step in source])
+            steps = [step for step, _ in episode.collapsed_runs] if collapsed else episode.steps
+            label_lists.append([label_of(step) for step in steps])
 
     states = sorted({label for labels in label_lists for label in labels})
     index = {state: i for i, state in enumerate(states)}
@@ -352,10 +349,12 @@ def sequence_similarity(
         return 0.0
     grams_x = x.gram_union(n)
     grams_y = y.gram_union(n)
-    union = grams_x | grams_y
+    common = len(grams_x & grams_y)
+    # |A ∪ B| = |A| + |B| - |A ∩ B|: the union's size without building it.
+    union = len(grams_x) + len(grams_y) - common
     if not union:
         return 1.0 if flat_x == flat_y else 0.0
-    return len(grams_x & grams_y) / len(union)
+    return common / union
 
 
 STEP_COLUMNS = ("ts", "micro", "macro", "run_length", "alert_ref")

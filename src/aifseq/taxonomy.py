@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -304,14 +304,8 @@ def summarize_findings(findings: Sequence) -> str:
 
 
 def _record(entry: Mapping, level: AisLevel) -> AisRecord:
-    return AisRecord(
-        level,
-        entry["key"],
-        entry["display_name"],
-        entry["description"],
-        entry.get("parent"),
-        entry.get("original_name"),
-    )
+    """The inverse of :func:`to_document`'s entry: the record's fields after ``level``."""
+    return AisRecord(level, *(entry.get(f.name) for f in fields(AisRecord)[1:]))
 
 
 def from_document(doc: Mapping) -> Taxonomy:

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -671,8 +672,22 @@ COVERAGE = {"coverage.json": "ee510ab02063d68a5251001f0c8cec07dc58bbe22c0e9a8f6f
                     "1e486f623297dae534f956233a35866c55b458d57e883c5fc2554a4f1e7454e9",
             },
         ),
+        (
+            ["sequence", "--transitions", "both", "--uncollapsed-transitions"],
+            {
+                "transitions_micro.csv":
+                    "9d045611ae4d9ea9982e6240004196dfe317ffd9deb02786d9b49f7128e5ac54",
+                "transitions_macro.csv":
+                    "e4658cc3d481e945963b9a2bc21cc97e3858510d193edc3004957bd3f9acfb9d",
+                "sequences.ndjson":
+                    "d881ece9a0abc3550ac06c367a114a825bcd9f8dae2d9d47d28ec77c2b48e579",
+            },
+        ),
     ],
-    ids=["classify-json", "classify-csv", "sequence-json", "sequence-csv", "sequence-ngram"],
+    ids=[
+        "classify-json", "classify-csv", "sequence-json", "sequence-csv", "sequence-ngram",
+        "sequence-uncollapsed",
+    ],
 )
 def test_golden_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
     code, _, _ = run(capsys, *argv, "--input", str(GOLDEN), "--out", str(tmp_path))
@@ -681,6 +696,35 @@ def test_golden_output_bytes_are_pinned(capsys, tmp_path, argv, digests):
     assert written == set(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["taxonomy-show", "classify"])
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, command, unbuffered):
+    # A reader that stops early, as in `aifseq taxonomy show | head -1`,
+    # closes its end of the pipe. Closing it before the run starts makes
+    # every write to stdout fail, not only the ones after the reader left.
+    # Buffered, the error comes from the flush; unbuffered, from print.
+    argv = ["taxonomy", "show"]
+    if command == "classify":
+        argv = ["classify", "--input", str(GOLDEN), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "aifseq.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")
+    if command == "classify":
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert written == {"classifications.ndjson", "coverage.json", "manifest.json"}
 
 
 def test_golden_fixture_regenerates_from_its_script(capsys, tmp_path, monkeypatch):
