@@ -40,7 +40,7 @@ class OutOfOrderError(ValueError):
     """Input stream was unsorted beyond the allowed skew window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackerKey:
     """Identity a sequence is grouped by: field names plus concrete values."""
 
@@ -154,7 +154,8 @@ def build_sequences(
     sensor skew; within the window records are re-sorted (stably), beyond
     it OutOfOrderError is raised. Unclassified verdicts are dropped before
     segmentation unless ``include_unclassified``. Returns one sequence per
-    distinct key, ordered by key value.
+    distinct key, ordered by key value. ``classified`` is read once, may be
+    any iterable, and is not modified.
     """
     fields = KEY_CONFIGS.get(key_config)
     if fields is None:
@@ -188,12 +189,17 @@ def build_sequences(
     # A stable global sort followed by a partition orders each group exactly
     # like a stable sort of that group alone, so sorting per key is enough.
     # One field groups by its bare string, which sorts as its 1-tuple does.
+    # Each group leaves the dict and is sorted in place, so no sorted copy is
+    # made and a group's list is freed once its episodes are cut.
     sequences: list[AisSequence] = []
+    gap = float(gap_threshold)
     for value in sorted(groups):
         key = AttackerKey(key_fields=fields, value=value if len(fields) > 1 else (value,))
+        steps = groups.pop(value)
+        steps.sort(key=attrgetter("ts"))
         episodes: list[Episode] = []
         current: list[SequenceStep] = []
-        for step in sorted(groups[value], key=attrgetter("ts")):
+        for step in steps:
             if current and (step.ts - current[-1].ts).total_seconds() > gap_threshold:
                 episodes.append(Episode(tuple(current)))
                 current = []
@@ -201,7 +207,7 @@ def build_sequences(
         if current:
             episodes.append(Episode(tuple(current)))
         sequences.append(
-            AisSequence(key=key, episodes=tuple(episodes), gap_threshold=float(gap_threshold))
+            AisSequence(key=key, episodes=tuple(episodes), gap_threshold=gap)
         )
     return sequences
 
