@@ -129,7 +129,10 @@ class AisSequence:
         return {}
 
     def gram_union(self, n: int) -> frozenset[tuple[str, ...]]:
-        """Union of the per-episode n-gram sets; windows never span an episode boundary."""
+        """Union of the per-episode n-gram sets; windows never span an episode boundary.
+
+        Raises ValueError unless ``n`` is an integer >= 1.
+        """
         _check_n(n)
         grams = self._gram_unions.get(n)
         if grams is None:
@@ -204,8 +207,7 @@ def build_sequences(
                 episodes.append(Episode(tuple(current)))
                 current = []
             current.append(step)
-        if current:
-            episodes.append(Episode(tuple(current)))
+        episodes.append(Episode(tuple(current)))
         sequences.append(
             AisSequence(key=key, episodes=tuple(episodes), gap_threshold=gap)
         )
@@ -318,9 +320,10 @@ def sequence_similarity(
 
     ``lcs_ratio`` is |LCS| / max length over the flattened collapsed
     lists; ``ngram_jaccard`` is Jaccard over each sequence's union of
-    per-episode n-gram sets. Two empty sequences score 1, one empty
-    scores 0; when neither side yields any n-gram the score is 1 exactly
-    when the flattened lists are identical.
+    per-episode n-gram sets. For ``lcs_ratio`` two empty sequences score
+    1 and one empty scores 0. For ``ngram_jaccard`` a pair with no n-gram
+    on either side scores 1 exactly when the flattened lists are
+    identical; two empty sequences are such a pair.
 
     The LCS is bit-parallel: Allison & Dix (IPL 1986) as restated by Hyyrö
     (2004). Bit i of ``v`` stands for position i of the longer list, and the
@@ -346,20 +349,13 @@ def sequence_similarity(
         return (m - (v & full).bit_count()) / m
     if method != "ngram_jaccard":
         raise ValueError(f"unknown method {method!r}; expected 'lcs_ratio' or 'ngram_jaccard'")
-    _check_n(n)
-    flat_x = x.flattened_collapsed
-    flat_y = y.flattened_collapsed
-    if not flat_x and not flat_y:
-        return 1.0
-    if not flat_x or not flat_y:
-        return 0.0
     grams_x = x.gram_union(n)
     grams_y = y.gram_union(n)
     common = len(grams_x & grams_y)
     # |A ∪ B| = |A| + |B| - |A ∩ B|: the union's size without building it.
     union = len(grams_x) + len(grams_y) - common
     if not union:
-        return 1.0 if flat_x == flat_y else 0.0
+        return float(x.flattened_collapsed == y.flattened_collapsed)
     return common / union
 
 

@@ -6,7 +6,7 @@ import gc
 import random
 import tracemalloc
 from datetime import datetime, timedelta, timezone
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby, product
 from operator import attrgetter
 
 import pytest
@@ -384,6 +384,30 @@ def test_similarity_checks_arguments_before_the_empty_shortcut(method, n, messag
     for x, y in [(empty, empty), (empty, seq_of([A]))]:
         with pytest.raises(ValueError, match=message):
             sequence_similarity(x, y, method, n=n)
+
+
+def test_ngram_jaccard_matches_set_oracle_on_every_small_sequence():
+    # Every sequence of 0-2 episodes, each of 1-3 labels over {A, B}: this
+    # covers empty sequences, ones shorter than n and gram-less multi-episode
+    # ones, for each window size and in both argument orders.
+    episodes = [list(labels) for size in (1, 2, 3) for labels in product((A, B), repeat=size)]
+    shapes = [[], *([ep] for ep in episodes), *([e1, e2] for e1 in episodes for e2 in episodes)]
+    sequences = [seq_of(*shape) for shape in shapes]
+    collapsed = [[[label for label, _ in groupby(ep)] for ep in shape] for shape in shapes]
+    flat = [[label for ep in eps for label in ep] for eps in collapsed]
+    for n in (1, 2, 3):
+        grams = [
+            {tuple(ep[i : i + n]) for ep in eps for i in range(len(ep) - n + 1)} for eps in collapsed
+        ]
+        for i, j in combinations_with_replacement(range(len(shapes)), 2):
+            union = grams[i] | grams[j]
+            if union:
+                expected = len(grams[i] & grams[j]) / len(union)
+            else:
+                expected = 1.0 if flat[i] == flat[j] else 0.0
+            x, y = sequences[i], sequences[j]
+            assert sequence_similarity(x, y, "ngram_jaccard", n=n) == expected, (shapes[i], shapes[j], n)
+            assert sequence_similarity(y, x, "ngram_jaccard", n=n) == expected, (shapes[j], shapes[i], n)
 
 
 def test_similarity_symmetric_random():
