@@ -335,9 +335,14 @@ def _fast_signature(segment: str) -> tuple | str | None:
 
     ``segment`` runs from a fast line's timestamp to its protocol:
     ``  [**] [gid:sid:rev] MSG [**] [Classification: …] [Priority: N] {PROTO}``.
-    None if it does not have that shape. An id or priority with more digits
-    than ``int()`` converts, or a priority below 1, gives the error message
-    instead of raising, so the caller can report a bad timestamp first.
+    None if it does not have that shape. The optional classification and
+    priority blocks hold one ``]`` each, so the ``[**]`` that ends the
+    message closes at one of the last three ``]``. As with a lazy message
+    pattern, the earliest ``[**]`` that fits wins, the message holds no
+    newline, and an empty message is tried last. An absent or blank
+    category is None. An id or priority with more digits than ``int()``
+    converts, or a priority below 1, gives the error message instead of
+    raising, so the caller can report a bad timestamp first.
     """
     ids = _FAST_IDS_RE.match(segment)
     if ids is None:
@@ -348,32 +353,6 @@ def _fast_signature(segment: str) -> tuple | str | None:
     body, proto = parts
     if len(proto) < 3 or proto[0] != "{" or proto[-1] != "}":
         return None
-    blocks = _split_fast_body(body)
-    if blocks is None:
-        return None
-    msg, category, priority = blocks
-    gid, sid, rev = ids.groups()
-    try:
-        severity = int(priority) if priority is not None else None
-        signature = int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
-    except ValueError as exc:  # more digits than int() converts
-        return f"invalid signature id or priority: {exc}"
-    if severity is not None and severity < 1:  # as EVE's alert.severity
-        return f"invalid priority {priority!r}"
-    return signature
-
-
-def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
-    """Message, category and priority of ``MSG [**] [Classification…] [Priority…]``.
-
-    ``body`` is the part of a fast line between the ``[gid:sid:rev]`` block
-    and the protocol, leading whitespace included; None if it does not
-    parse. The optional classification and priority blocks hold one ``]``
-    each, so the ``[**]`` that ends the message closes at one of the last
-    three ``]``. As with a lazy message pattern, the earliest ``[**]`` that
-    fits wins, the message holds no newline, and an empty message is tried
-    last. An absent or blank category is None.
-    """
     start = len(body) - len(body.lstrip())
     if start == 0:
         return None
@@ -396,7 +375,16 @@ def _split_fast_body(body: str) -> tuple[str, str | None, str | None] | None:
         if blocks is None:
             return None
     category, priority = blocks.groups()
-    return msg, (category.strip() or None) if category else None, priority
+    category = (category.strip() or None) if category else None
+    gid, sid, rev = ids.groups()
+    try:
+        severity = int(priority) if priority is not None else None
+        signature = int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
+    except ValueError as exc:  # more digits than int() converts
+        return f"invalid signature id or priority: {exc}"
+    if severity is not None and severity < 1:  # as EVE's alert.severity
+        return f"invalid priority {priority!r}"
+    return signature
 
 
 def parse_snort_fast_line(
@@ -522,7 +510,9 @@ def _decoded_lines(stream: IO[bytes]) -> Iterator[str]:
     """Lines of a binary stream decoded as ``utf-8-sig``; the stream stays open afterwards."""
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace")
     try:
-        yield from text
+        # Not ``yield from``: closing this generator would close the wrapper too.
+        for line in text:
+            yield line
     finally:
         # Closing the wrapper would close the caller's stream; a stream the
         # caller closed already cannot be detached, and needs nothing.

@@ -976,15 +976,24 @@ def test_stream_from_text_handle():
     assert out[0].raw_ref == RawRef("stdin", 1)
 
 
+@pytest.mark.parametrize("stop", ["exhausted", "closed", "dropped"])
 @pytest.mark.parametrize("kind", ["text", "binary"])
-def test_stream_leaves_a_callers_handle_open(kind):
+def test_stream_leaves_a_callers_handle_open(kind, stop):
     data = eve_line() + "\n" + eve_line(src_ip="10.0.0.6") + "\n"
     handle = io.StringIO(data) if kind == "text" else io.BytesIO(data.encode("utf-8"))
-    for _ in range(2):
-        alerts, _ = read_alert_stream(handle, fmt="eve")
+    alerts, _ = read_alert_stream(handle, fmt="eve")
+    if stop == "exhausted":
         assert [a.src_ip for a in alerts] == ["10.0.0.5", "10.0.0.6"]
-        assert not handle.closed
-        handle.seek(0)
+    else:
+        assert next(alerts).src_ip == "10.0.0.5"
+        if stop == "closed":
+            alerts.close()
+        del alerts
+    assert not handle.closed
+    handle.seek(0)
+    alerts, _ = read_alert_stream(handle, fmt="eve")
+    assert [a.src_ip for a in alerts] == ["10.0.0.5", "10.0.0.6"]
+    assert not handle.closed
 
 
 def test_stream_closed_by_the_caller_mid_read_ends_quietly():
