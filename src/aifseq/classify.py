@@ -61,7 +61,6 @@ class MappingRule:
 
     rule_id: str
     priority: int
-    target_micro: str
     verdict: Classification
     predicates: tuple[tuple[Callable[[NormalizedAlert, str, Any], bool], Any], ...]
 
@@ -212,7 +211,7 @@ def _parse_rule(raw: Any, taxonomy: Taxonomy, default_confidence: float) -> Mapp
         raise ValueError("priority must be an integer")
 
     target = raw.get("target_micro")
-    if not isinstance(target, str) or not (target == SENTINEL_KEY or taxonomy.has("micro", target)):
+    if not isinstance(target, str) or not taxonomy.has("micro", target):
         raise ValueError(f"unknown target micro {target!r}")
 
     confidence = raw.get("confidence")
@@ -232,7 +231,7 @@ def _parse_rule(raw: Any, taxonomy: Taxonomy, default_confidence: float) -> Mapp
     matched_rule = rule_id if target != SENTINEL_KEY else None
     confidence = float(default_confidence if confidence is None else confidence)
     verdict = Classification(target, taxonomy.macro_of(target), matched_rule, confidence)
-    return MappingRule(rule_id, priority, target, verdict, predicates)
+    return MappingRule(rule_id, priority, verdict, predicates)
 
 
 def load_mapping(document: Any, taxonomy: Taxonomy) -> MappingSpec:
@@ -343,22 +342,18 @@ def coverage_report(spec: MappingSpec, classified: Iterable[Classification]) -> 
     rule_hits = {rule_id: 0 for rule_id in spec.rule_ids()}
     micro_counts: Counter[str] = Counter()
     macro_counts: Counter[str] = Counter()
-    total = 0
-    unclassified = 0
     for verdict in classified:
-        total += 1
         micro_counts[verdict.micro] += 1
         macro_counts[verdict.macro] += 1
         if verdict.matched_rule is not None:
             rule_hits[verdict.matched_rule] += 1
-        if verdict.micro == SENTINEL_KEY:
-            unclassified += 1
+    total = micro_counts.total()
     return CoverageReport(
         total=total,
         rule_hits=rule_hits,
         micro_counts=dict(sorted(micro_counts.items())),
         macro_counts=dict(sorted(macro_counts.items())),
-        unclassified_fraction=unclassified / total if total else 0.0,
+        unclassified_fraction=micro_counts[SENTINEL_KEY] / total if total else 0.0,
     )
 
 

@@ -137,10 +137,10 @@ class IngestStats:
 
     MAX_ERROR_SAMPLES = 10
 
-    def record_error(self, ref: RawRef | None, reason: str) -> None:
+    def record_error(self, ref: RawRef, reason: str) -> None:
         self.malformed += 1
         if len(self.first_error_samples) < self.MAX_ERROR_SAMPLES:
-            self.first_error_samples.append((str(ref) if ref else "?", reason))
+            self.first_error_samples.append((str(ref), reason))
 
     def reconciles(self) -> bool:
         return self.records_seen == self.alerts_emitted + self.non_alert_skipped + self.malformed
@@ -524,8 +524,6 @@ def read_alert_stream(
     source: str | Path | IO | Iterable[str] | bytes,
     fmt: str = "auto",
     assumed_year: int | None = None,
-    *,
-    source_name: str | None = None,
 ) -> tuple[Iterator[NormalizedAlert], IngestStats]:
     """Stream alerts out of a file, file object, or iterable of lines.
 
@@ -547,8 +545,7 @@ def read_alert_stream(
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == SNORT_FAST_FORMAT and assumed_year is None:
         raise FormatDetectionError(_NO_YEAR_MESSAGE)
-    lines, detected_name = _line_iter(source)
-    name = source_name or detected_name
+    lines, name = _line_iter(source)
     stats = IngestStats()
 
     def generate() -> Iterator[NormalizedAlert]:

@@ -158,7 +158,8 @@ def build_sequences(
     it OutOfOrderError is raised. Unclassified verdicts are dropped before
     segmentation unless ``include_unclassified``. Returns one sequence per
     distinct key, ordered by key value. ``classified`` is read once, may be
-    any iterable, and is not modified.
+    any iterable, and is not modified; this call drops its own reference to
+    it once the alerts are grouped.
     """
     fields = KEY_CONFIGS.get(key_config)
     if fields is None:
@@ -188,6 +189,10 @@ def build_sequences(
             continue
         step = SequenceStep(ts, verdict.micro, verdict.macro, alert.raw_ref)
         groups.setdefault(attacker(alert), []).append(step)
+    # A list built for this call alone (as the CLI builds one) is freed here,
+    # with every alert in it, before episodes are cut: a step keeps only its
+    # timestamp and raw ref. A list the caller still holds is left as it is.
+    del classified
 
     # A stable global sort followed by a partition orders each group exactly
     # like a stable sort of that group alone, so sorting per key is enough.

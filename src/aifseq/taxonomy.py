@@ -147,14 +147,6 @@ class Taxonomy:
         records = (SENTINEL_MACRO, SENTINEL_MICRO, *self.macros, *self.micros)
         return {(r.level, r.key): r for r in records}
 
-    @cached_property
-    def _children(self) -> dict[str, tuple[str, ...]]:
-        children: dict[str, list[str]] = {r.key: [] for r in self.macros}
-        children[SENTINEL_KEY] = [SENTINEL_KEY]
-        for r in self.micros:
-            children[r.parent].append(r.key)
-        return {k: tuple(v) for k, v in children.items()}
-
     def has(self, level: AisLevel | str, key: str) -> bool:
         return (AisLevel(level), key) in self._records
 
@@ -171,10 +163,8 @@ class Taxonomy:
 
     def micros_of(self, macro_key: str) -> tuple[str, ...]:
         """Micro keys under a macro, in catalog order."""
-        try:
-            return self._children[macro_key]
-        except KeyError:
-            raise UnknownAisKey(f"unknown macro key {macro_key!r}") from None
+        self.describe(AisLevel.MACRO, macro_key)
+        return tuple(r.key for r in (SENTINEL_MICRO, *self.micros) if r.parent == macro_key)
 
     def macro_keys(self) -> tuple[str, ...]:
         return tuple(r.key for r in self.macros)

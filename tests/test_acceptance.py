@@ -305,14 +305,17 @@ def test_criterion_4_classifier_determinism(capsys):
             spec = load_mapping(doc, taxonomy)
             alert = _random_alert_for_rules(rng, iteration)
 
-            # Oracle: evaluate every rule, then apply the tie-break chain.
+            # Oracle: evaluate every rule, then apply the tie-break chain; the
+            # winner's target comes from its document, not from the compiled rule.
             msg_lower = alert.signature_msg.lower()
             matching = [r for r in spec.rules if r.matches(alert, msg_lower)]
             if matching:
                 best = sorted(
                     matching, key=lambda r: (-r.priority, -r.predicate_count, r.rule_id)
                 )[0]
-                expected_micro = best.target_micro
+                expected_micro = next(
+                    raw["target_micro"] for raw in doc["rules"] if raw["rule_id"] == best.rule_id
+                )
                 expected_rule = best.rule_id if expected_micro != "unclassified" else None
             else:
                 expected_micro, expected_rule = "unclassified", None

@@ -582,6 +582,18 @@ def test_coverage_report_counts():
     assert report.micro_counts == {"root_privilege_escalation": 6, "unclassified": 4}
     assert report.macro_counts == {"privilege_escalation": 6, "unclassified": 4}
 
+    # A rule that targets the sentinel counts as unclassified, not as a hit.
+    to_sentinel = rule("r-none", {"category_equals": "Not Suspicious Traffic"}, "unclassified")
+    spec = load_mapping(make_doc(ADMIN_DOC["rules"] + [to_sentinel]), TAX)
+    alerts += [make_alert(category="Not Suspicious Traffic")] * 5
+    verdicts = [c for _, c in classify_stream(alerts, spec, TAX)]
+    report = coverage_report(spec, verdicts)
+    assert report.total == 15
+    assert report.unclassified_fraction == 9 / 15
+    assert report.rule_hits == {"r-admin": 6, "r-none": 0}
+    assert report.micro_counts == {"root_privilege_escalation": 6, "unclassified": 9}
+    assert report.macro_counts == {"privilege_escalation": 6, "unclassified": 9}
+
 
 def test_coverage_report_empty_input():
     spec = load_mapping(ADMIN_DOC, TAX)
@@ -672,14 +684,15 @@ def random_alert(rng: random.Random) -> NormalizedAlert:
     )
 
 
-def oracle_verdict(alert, spec, taxonomy) -> tuple[str, str | None]:
-    # Evaluate every rule independently, then apply the tie-break chain.
+def oracle_verdict(alert, spec, doc) -> tuple[str, str | None]:
+    # Evaluate every rule independently, then apply the tie-break chain. The
+    # winner's target comes from its document, not from the compiled rule.
     msg_lower = alert.signature_msg.lower()
     matching = [r for r in spec.rules if r.matches(alert, msg_lower)]
     if not matching:
         return "unclassified", None
     best = sorted(matching, key=lambda r: (-r.priority, -r.predicate_count, r.rule_id))[0]
-    micro = best.target_micro
+    micro = next(raw["target_micro"] for raw in doc["rules"] if raw["rule_id"] == best.rule_id)
     return micro, best.rule_id if micro != "unclassified" else None
 
 
@@ -692,7 +705,7 @@ def test_random_specs_match_oracle_and_survive_shuffling():
         spec = load_mapping(doc, TAX)
         alert = random_alert(rng)
         verdict = classify_alert(alert, spec, TAX)
-        assert (verdict.micro, verdict.matched_rule) == oracle_verdict(alert, spec, TAX)
+        assert (verdict.micro, verdict.matched_rule) == oracle_verdict(alert, spec, doc)
         assert verdict.macro == TAX.macro_of(verdict.micro)
 
         shuffled = list(raw_rules)

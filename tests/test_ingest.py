@@ -689,9 +689,9 @@ def test_eve_parser_matches_the_per_field_oracle_on_hostile_lines(seed):
 
 def stream_and_parser_outcomes(line: str, fmt: str):
     """What the stream makes of ``line``, and what the parser called on it does."""
-    alerts, stats = read_alert_stream([line], fmt=fmt, assumed_year=2019, source_name="x")
+    alerts, stats = read_alert_stream([line], fmt=fmt, assumed_year=2019)
     streamed = list(alerts) or [reason for _, reason in stats.first_error_samples] or [None]
-    ref = RawRef("x", 1)
+    ref = RawRef("<stream>", 1)
     try:
         if fmt == "eve":
             parsed = parse_eve_record(line, ref=ref)
@@ -823,19 +823,19 @@ def int_limit_error(digits: str) -> str:
     ids=["timestamp_before_sid", "priority_before_source", "source_before_destination"],
 )
 def test_fast_line_with_two_faults_reports_the_first(bad_line, reason):
-    alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019, source_name="feed")
+    alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019)
     assert list(alerts) == []
-    assert stats.first_error_samples == [("feed:1", reason)]
+    assert stats.first_error_samples == [("<stream>:1", reason)]
 
 
 def test_priority_zero_is_malformed_in_both_formats():
     # Fast "[Priority: 0]" parsed while EVE "severity: 0" was malformed, so the
     # same observable parsed in one wire format and not in the other.
     zero = FAST_LINE.replace("Priority: 2", "Priority: 0")
-    alerts, stats = read_alert_stream([zero, FAST_LINE], fmt="snort_fast", assumed_year=2019, source_name="feed")
+    alerts, stats = read_alert_stream([zero, FAST_LINE], fmt="snort_fast", assumed_year=2019)
     assert [alert.severity for alert in alerts] == [2]
     assert stats.malformed == 1
-    assert stats.first_error_samples == [("feed:1", "invalid priority '0'")]
+    assert stats.first_error_samples == [("<stream>:1", "invalid priority '0'")]
 
     alert = replace(parse_snort_fast_line(FAST_LINE, assumed_year=2019), severity=0)
     with pytest.raises(AlertParseError, match="priority"):
@@ -846,9 +846,9 @@ def test_priority_zero_is_malformed_in_both_formats():
 
 def test_fast_line_with_a_bad_timestamp_and_priority_zero_reports_the_timestamp():
     bad_line = FAST_LINE.replace("05/01", "02/30").replace("Priority: 2", "Priority: 0")
-    alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019, source_name="feed")
+    alerts, stats = read_alert_stream([bad_line], fmt="snort_fast", assumed_year=2019)
     assert list(alerts) == []
-    assert stats.first_error_samples == [("feed:1", "invalid timestamp: day is out of range for month")]
+    assert stats.first_error_samples == [("<stream>:1", "invalid timestamp: day is out of range for month")]
 
 
 @pytest.mark.parametrize("fmt", ["eve", "snort_fast"])
@@ -971,7 +971,8 @@ def test_stream_keeps_a_byte_order_mark_in_text_the_caller_decoded():
 
 def test_stream_from_text_handle():
     handle = io.StringIO(eve_line() + "\n")
-    alerts, stats = read_alert_stream(handle, fmt="eve", source_name="stdin")
+    handle.name = "stdin"
+    alerts, stats = read_alert_stream(handle, fmt="eve")
     out = list(alerts)
     assert out[0].raw_ref == RawRef("stdin", 1)
 

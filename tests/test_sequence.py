@@ -725,6 +725,29 @@ def test_build_sequences_holds_each_step_once(attackers, alerts, spacing):
     assert peak - before < 1.05 * retained
 
 
+def test_build_sequences_frees_a_list_built_for_the_call():
+    """A list only the call holds is freed before episodes are cut.
+
+    With one episode per step, the episodes outweigh the steps. Holding the
+    alert list while they are built put the traced peak at 2.15x what the
+    call retains (Python 3.11); freeing it first puts the peak at 1.77x.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        seqs = build_sequences(synthetic_stream(2_000, 18, 1_000), gap_threshold=600)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert sum(len(seq.episodes) for seq in seqs) == 2_000 * 18
+    assert peak - before < 1.95 * (after - before)
+
+
 def test_build_sequences_reads_any_iterable_once_and_leaves_it_unchanged():
     """A one-shot generator gives what its list gives, and the list is not touched."""
     stream = [

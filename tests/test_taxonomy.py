@@ -89,6 +89,19 @@ def test_micros_of_unknown_macro():
         builtin_taxonomy().micros_of("nonexistent")
 
 
+def test_micros_of_the_sentinel_and_of_an_empty_macro():
+    """The sentinel macro holds the sentinel micro in every taxonomy."""
+    doc = minimal_doc()
+    doc["macros"].append({"key": "gamma", "display_name": "Gamma", "description": "No ways yet."})
+    custom = from_document(doc)
+    for t in (builtin_taxonomy(), custom):
+        assert t.micros_of(SENTINEL_KEY) == (SENTINEL_KEY,)
+    assert custom.micros_of("gamma") == ()
+    assert custom.micros_of("alpha") == ("a_one", "a_two")
+    with pytest.raises(UnknownAisKey, match="unknown macro key 'a_one'"):
+        custom.micros_of("a_one")
+
+
 def test_partition_of_micros_under_macros():
     t = builtin_taxonomy()
     seen: list[str] = []
