@@ -694,6 +694,23 @@ def synthetic_stream(attackers, alerts, spacing):
     ]
 
 
+def traced_call(call):
+    """``call()``'s result, and the traced bytes it peaked at and retained."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak - before, after - before
+
+
 @pytest.mark.parametrize(
     "attackers, alerts, spacing",
     [(200, 50, 1), (20, 500, 1), (2_000, 18, 1_000)],
@@ -706,23 +723,11 @@ def test_build_sequences_holds_each_step_once(attackers, alerts, spacing):
     kept until the end) puts the peak 7-12% above the result on these shapes.
     """
     stream = synthetic_stream(attackers, alerts, spacing)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        gc.collect()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        seqs = build_sequences(stream, gap_threshold=600)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    seqs, peak, retained = traced_call(lambda: build_sequences(stream, gap_threshold=600))
     assert sum(seq.step_count() for seq in seqs) == attackers * alerts
     episodes = sum(len(seq.episodes) for seq in seqs)
     assert episodes == (attackers if spacing < 600 else attackers * alerts)
-    retained = after - before
-    assert peak - before < 1.05 * retained
+    assert peak < 1.05 * retained
 
 
 def test_build_sequences_frees_a_list_built_for_the_call():
@@ -732,20 +737,11 @@ def test_build_sequences_frees_a_list_built_for_the_call():
     alert list while they are built put the traced peak at 2.15x what the
     call retains (Python 3.11); freeing it first puts the peak at 1.77x.
     """
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        gc.collect()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        seqs = build_sequences(synthetic_stream(2_000, 18, 1_000), gap_threshold=600)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    seqs, peak, retained = traced_call(
+        lambda: build_sequences(synthetic_stream(2_000, 18, 1_000), gap_threshold=600)
+    )
     assert sum(len(seq.episodes) for seq in seqs) == 2_000 * 18
-    assert peak - before < 1.95 * (after - before)
+    assert peak < 1.95 * retained
 
 
 def test_build_sequences_reads_any_iterable_once_and_leaves_it_unchanged():
