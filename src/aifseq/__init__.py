@@ -24,6 +24,7 @@ from aifseq.ingest import (
     IngestStats,
     NormalizedAlert,
     RawRef,
+    Signature,
     parse_eve_record,
     parse_snort_fast_line,
     read_alert_stream,
@@ -74,6 +75,7 @@ __all__ = [
     "OutOfOrderError",
     "RawRef",
     "SequenceStep",
+    "Signature",
     "Taxonomy",
     "TaxonomyError",
     "TransitionMatrix",

@@ -23,10 +23,10 @@ from functools import cached_property
 from importlib import resources
 from typing import Any, Callable, Iterable, Iterator
 
-from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert
+from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert, Signature
 from aifseq.taxonomy import SENTINEL_KEY, Taxonomy, read_document, summarize_findings
 
-# Distinct verdict keys one stream's memo holds before it starts over.
+# Distinct signatures one stream's verdict memo holds before it starts over.
 _VERDICT_MEMO_SIZE = 4096
 
 
@@ -62,15 +62,16 @@ class MappingRule:
     rule_id: str
     priority: int
     verdict: Classification
-    predicates: tuple[tuple[Callable[[NormalizedAlert, str, Any], bool], Any], ...]
+    predicates: tuple[tuple[Callable[[Signature, str, Any], bool], Any], ...]
 
     @property
     def predicate_count(self) -> int:
         return len(self.predicates)
 
-    def matches(self, alert: NormalizedAlert, msg_lower: str) -> bool:
+    def matches(self, signature: Signature | NormalizedAlert, msg_lower: str) -> bool:
+        """Whether every predicate holds; an alert reads as its signature does."""
         for test, value in self.predicates:
-            if not test(alert, msg_lower, value):
+            if not test(signature, msg_lower, value):
                 return False
         return True
 
@@ -135,15 +136,15 @@ def _regex(value: Any) -> re.Pattern[str]:
         raise ValueError("invalid regex: nested too deeply") from None
 
 
-def _contains_all(alert: NormalizedAlert, msg_lower: str, tokens: tuple[str, ...]) -> bool:
+def _contains_all(signature: Signature, msg_lower: str, tokens: tuple[str, ...]) -> bool:
     for token in tokens:
         if token not in msg_lower:
             return False
     return True
 
 
-def _sid_in(alert: NormalizedAlert, msg_lower: str, ranges: tuple[tuple[int, int], ...]) -> bool:
-    sid = alert.signature_id
+def _sid_in(signature: Signature, msg_lower: str, ranges: tuple[tuple[int, int], ...]) -> bool:
+    sid = signature.signature_id
     for lo, hi in ranges:
         if lo <= sid <= hi:
             return True
@@ -166,28 +167,29 @@ def _sid_ranges(value: Any) -> tuple[tuple[int, int], ...]:
 
 # Every predicate a rule's ``match`` may hold: name -> (parse, test). parse
 # compiles a document value or raises ValueError with the finding text;
-# test(alert, msg_lower, value) decides the predicate. Rules validate and
-# test their predicates in this order. The two tests that loop are named
-# functions: with a generator in all() or any(), an uncached rule scan
-# took about twice as long.
-_PREDICATES: dict[str, tuple[Callable[[Any], Any], Callable[[NormalizedAlert, str, Any], bool]]] = {
+# test(signature, msg_lower, value) decides the predicate, so a verdict
+# depends on an alert's signature alone. Rules validate and test their
+# predicates in this order. The two tests that loop are named functions:
+# with a generator in all() or any(), an uncached rule scan took about
+# twice as long.
+_PREDICATES: dict[str, tuple[Callable[[Any], Any], Callable[[Signature, str, Any], bool]]] = {
     "category_equals": (
         _checked(lambda v: isinstance(v, str) and v, "category_equals must be non-empty text"),
-        lambda alert, msg_lower, category: alert.category == category,
+        lambda sig, msg_lower, category: sig.category == category,
     ),
     "msg_contains_all": (_tokens, _contains_all),
     "msg_regex": (
         _regex,
-        lambda alert, msg_lower, pattern: pattern.search(alert.signature_msg) is not None,
+        lambda sig, msg_lower, pattern: pattern.search(sig.signature_msg) is not None,
     ),
     "sid_in": (_sid_ranges, _sid_in),
     "gid_equals": (
         _checked(_is_int, "gid_equals must be an integer"),
-        lambda alert, msg_lower, gid: alert.generator_id == gid,
+        lambda sig, msg_lower, gid: sig.generator_id == gid,
     ),
     "severity_at_most": (
         _checked(lambda v: _is_int(v) and v >= 1, "severity_at_most must be a positive integer"),
-        lambda alert, msg_lower, most: alert.severity is not None and alert.severity <= most,
+        lambda sig, msg_lower, most: sig.severity is not None and sig.severity <= most,
     ),
 }
 
@@ -289,9 +291,10 @@ def classify_alert(alert: NormalizedAlert, spec: MappingSpec, taxonomy: Taxonomy
     mapping's default confidence. A sentinel verdict never carries a rule id.
     Scans the rules on every call; ``classify_stream`` memoizes per stream.
     """
-    msg_lower = alert.signature_msg.lower()
+    signature = alert.signature
+    msg_lower = signature.signature_msg.lower()
     for rule in spec.ordered_rules:
-        if rule.matches(alert, msg_lower):
+        if rule.matches(signature, msg_lower):
             return rule.verdict
     return spec.unclassified
 
@@ -301,25 +304,24 @@ def classify_stream(
 ) -> Iterator[tuple[NormalizedAlert, Classification]]:
     """Order-preserving classification of an alert stream; one verdict each.
 
-    A verdict depends only on the fields rules read: category, message,
-    signature id, generator id and severity. Each stream therefore scans
-    the rules once per distinct combination of them and reuses the verdict
-    for repeats. The memo is emptied when it holds a fixed number of keys,
-    and an alert whose message and category together exceed
-    ``MEMO_TEXT_LIMIT`` characters is classified without it.
+    Rules read only an alert's ``signature``, so each stream scans the rules
+    once per distinct signature and reuses the verdict for repeats; the
+    parsers hand every alert of one signature the same record, so a repeat
+    is found by identity. The memo is emptied when it holds a fixed number
+    of signatures, and one whose protocol, message and category together
+    exceed ``MEMO_TEXT_LIMIT`` characters is scanned each time it comes.
     """
-    verdicts: dict[tuple, Classification] = {}
+    verdicts: dict[Signature, Classification] = {}
     for alert in alerts:
-        msg, category = alert.signature_msg, alert.category
-        if len(msg) + len(category or "") > MEMO_TEXT_LIMIT:
-            yield alert, classify_alert(alert, spec, taxonomy)
-            continue
-        key = (category, msg, alert.signature_id, alert.generator_id, alert.severity)
-        verdict = verdicts.get(key)
+        signature = alert.signature
+        verdict = verdicts.get(signature)
         if verdict is None:
-            if len(verdicts) >= _VERDICT_MEMO_SIZE:
-                verdicts.clear()
-            verdict = verdicts[key] = classify_alert(alert, spec, taxonomy)
+            verdict = classify_alert(alert, spec, taxonomy)
+            texts = len(signature.protocol) + len(signature.signature_msg) + len(signature.category or "")
+            if texts <= MEMO_TEXT_LIMIT:
+                if len(verdicts) >= _VERDICT_MEMO_SIZE:
+                    verdicts.clear()
+                verdicts[signature] = verdict
         yield alert, verdict
 
 

@@ -251,13 +251,7 @@ def _classification_row(alert, verdict) -> list:
         alert.src_port,
         alert.dst_ip,
         alert.dst_port,
-        alert.protocol,
-        alert.generator_id,
-        alert.signature_id,
-        alert.revision,
-        alert.signature_msg,
-        alert.category,
-        alert.severity,
+        *alert.signature,
         verdict.micro,
         verdict.macro,
         verdict.matched_rule,
@@ -365,12 +359,12 @@ def _write_sequences_csv(path: Path, sequences) -> None:
         for seq in sequences:
             key = _csv_field(seq.key.label())
             for ep_index, episode in enumerate(seq.episodes):
-                # ISO-8601 times never hold a comma, a quote, CR or LF.
+                # ISO-8601 times never hold a comma, a quote, CR or LF, and
+                # neither do taxonomy keys (taxonomy.KEY_RE) or the sentinel.
                 prefix = f"{key},{ep_index},{episode.start.isoformat()},{episode.end.isoformat()},"
                 # One write per episode: writelines would call write once per row.
                 fh.write("".join(
-                    f"{prefix}{step},{ts},{_csv_field(micro)},{_csv_field(macro)},"
-                    f"{run},{_csv_field(ref)}\r\n"
+                    f"{prefix}{step},{ts},{micro},{macro},{run},{_csv_field(ref)}\r\n"
                     for step, (ts, micro, macro, run, ref) in enumerate(episode_step_rows(episode))
                 ))
 

@@ -20,12 +20,13 @@ import io
 import json
 import re
 import weakref
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from ipaddress import ip_address
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
 EVE_FORMAT = "eve"
 SNORT_FAST_FORMAT = "snort_fast"
@@ -47,11 +48,13 @@ _JSON_WHITESPACE = " \t\r\n"
 _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year field)"
 
 # An IDS stream repeats a few addresses and signatures many times, so the
-# pure per-value work (address checks, fast signature segments, the strings
-# alerts keep) runs once per distinct value and the alerts share its result.
+# pure per-value work (address checks, fast signature segments, EVE
+# signature records) runs once per distinct value and the alerts share its
+# result.
 # Each memo is an lru_cache of a fixed number of entries; a text longer than
-# this limit bypasses it, so a full memo holds at most its size times this
-# many characters of keys.
+# this limit (for an EVE signature record, its three texts together)
+# bypasses it, so a full memo holds at most its size times this many
+# characters of keys.
 MEMO_TEXT_LIMIT = 512
 
 
@@ -96,20 +99,14 @@ class RawRef:
 _DEFAULT_REF = RawRef("<input>", 0)
 
 
-@dataclass(slots=True)
-class NormalizedAlert:
-    """One IDS alert in wire-format-independent form.
+class Signature(NamedTuple):
+    """What the signature that fired gives an alert, in wire-format-independent form.
 
-    ``timestamp`` is always UTC; ``(generator_id, signature_id, revision)``
-    identify the triggering signature; ports are ``None`` exactly when the
-    protocol does not carry them.
+    ``(generator_id, signature_id, revision)`` identify the signature. An
+    IDS stream repeats a few signatures many times, so the parsers hand
+    every alert of one signature the same record.
     """
 
-    timestamp: datetime
-    src_ip: str
-    src_port: int | None
-    dst_ip: str
-    dst_port: int | None
     protocol: str
     generator_id: int
     signature_id: int
@@ -117,12 +114,38 @@ class NormalizedAlert:
     signature_msg: str
     category: str | None
     severity: int | None
+
+
+@dataclass(slots=True)
+class NormalizedAlert:
+    """One IDS alert in wire-format-independent form.
+
+    ``timestamp`` is always UTC; ports are ``None`` exactly when the
+    signature's protocol does not carry them. The signature's seven values
+    can also be read, not set, under their own names (``alert.protocol``);
+    each such read costs a property call, so hot paths read ``signature``.
+    """
+
+    timestamp: datetime
+    src_ip: str
+    src_port: int | None
+    dst_ip: str
+    dst_port: int | None
+    signature: Signature
     source_format: str
     raw_ref: RawRef
 
+    protocol = property(attrgetter("signature.protocol"))
+    generator_id = property(attrgetter("signature.generator_id"))
+    signature_id = property(attrgetter("signature.signature_id"))
+    revision = property(attrgetter("signature.revision"))
+    signature_msg = property(attrgetter("signature.signature_msg"))
+    category = property(attrgetter("signature.category"))
+    severity = property(attrgetter("signature.severity"))
+
     def content_fields(self) -> tuple:
-        """Every field before the provenance pair (source_format, raw_ref) that ends the class."""
-        return tuple(getattr(self, f.name) for f in fields(self)[:-2])
+        """The timestamp and endpoints, then the signature's values: all but the provenance pair."""
+        return (self.timestamp, self.src_ip, self.src_port, self.dst_ip, self.dst_port, *self.signature)
 
 
 @dataclass
@@ -180,9 +203,9 @@ def _valid_ip(text: str) -> str | None:
 
 
 @lru_cache(maxsize=4096)
-def _shared(text: str) -> str:
-    """The first-seen copy of ``text``, so alerts repeating it share one string."""
-    return text
+def _eve_signature(protocol, gid, sid, rev, msg, category, severity) -> Signature:
+    """The record of these values, built once: every EVE alert of one signature shares it."""
+    return Signature(protocol, gid, sid, rev, msg, category, severity)
 
 
 # The C scanner behind json.loads, without its wrapper: it decodes a line that
@@ -253,7 +276,7 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
         raise AlertParseError(f"invalid dest_ip {dst!r}", ref)
     if proto.__class__ is not str or not proto:
         raise AlertParseError(f"invalid proto {proto!r}", ref)
-    protocol = _memo(_shared, proto.upper())
+    protocol = proto.upper()
     if protocol in _PORTFUL_PROTOCOLS:
         src_port, dst_port = record.get("src_port"), record.get("dest_port")
         if src_port.__class__ is not int or not 0 <= src_port <= 65535:
@@ -279,10 +302,12 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
     severity = alert.get("severity")
     if severity is not None and (severity.__class__ is not int or severity < 1):
         raise AlertParseError(f"invalid alert.severity {severity!r}", ref)
-    return NormalizedAlert(
-        timestamp, src_ip, src_port, dst_ip, dst_port, protocol, gid, sid, rev,
-        _memo(_shared, msg), _memo(_shared, category) if category else None, severity, EVE_FORMAT, ref,
-    )
+    category = category or None
+    if len(protocol) + len(msg) + len(category or "") > MEMO_TEXT_LIMIT:
+        signature = Signature(protocol, gid, sid, rev, msg, category, severity)
+    else:
+        signature = _eve_signature(protocol, gid, sid, rev, msg, category, severity)
+    return NormalizedAlert(timestamp, src_ip, src_port, dst_ip, dst_port, signature, EVE_FORMAT, ref)
 
 
 def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | None]:
@@ -304,7 +329,7 @@ def _split_endpoint(text: str, protocol: str, ref: RawRef) -> tuple[str, int | N
     return addr, port
 
 
-def _split_fast_line(line: str) -> tuple[tuple[str, ...], tuple | str, str, str] | None:
+def _split_fast_line(line: str) -> tuple[tuple[str, ...], Signature | str, str, str] | None:
     """Timestamp, signature, source and destination of a fast line, or None.
 
     The timestamp is the six digit fields of ``MM/DD-HH:MM:SS.ffffff``. What
@@ -327,11 +352,10 @@ def _split_fast_line(line: str) -> tuple[tuple[str, ...], tuple | str, str, str]
 
 
 @lru_cache(maxsize=4096)
-def _fast_signature(segment: str) -> tuple | str | None:
-    """``(gid, sid, rev, severity, message, category, protocol)`` of a segment.
+def _fast_signature(segment: str) -> Signature | str | None:
+    """The signature record of a segment.
 
-    Memoized, so every alert of one signature shares the one tuple: its ints
-    and strings.
+    Memoized, so every alert of one signature shares the one record.
 
     ``segment`` runs from a fast line's timestamp to its protocol:
     ``  [**] [gid:sid:rev] MSG [**] [Classification: …] [Priority: N] {PROTO}``.
@@ -379,7 +403,7 @@ def _fast_signature(segment: str) -> tuple | str | None:
     gid, sid, rev = ids.groups()
     try:
         severity = int(priority) if priority is not None else None
-        signature = int(gid), int(sid), int(rev), severity, msg, category, proto[1:-1].upper()
+        signature = Signature(proto[1:-1].upper(), int(gid), int(sid), int(rev), msg, category, severity)
     except ValueError as exc:  # more digits than int() converts
         return f"invalid signature id or priority: {exc}"
     if severity is not None and severity < 1:  # as EVE's alert.severity
@@ -427,16 +451,12 @@ def parse_snort_fast_line(
 
     if isinstance(signature, str):
         raise AlertParseError(signature, ref)
-    gid, sid, rev, severity, msg, category, protocol = signature
-    src_ip, src_port = _split_endpoint(src_text, protocol, ref)
-    dst_ip, dst_port = _split_endpoint(dst_text, protocol, ref)
+    src_ip, src_port = _split_endpoint(src_text, signature.protocol, ref)
+    dst_ip, dst_port = _split_endpoint(dst_text, signature.protocol, ref)
 
     # Positional, in field order: keyword arguments cost about as much again
     # as building the alert.
-    return NormalizedAlert(
-        timestamp, src_ip, src_port, dst_ip, dst_port, protocol,
-        gid, sid, rev, msg, category, severity, SNORT_FAST_FORMAT, ref,
-    )
+    return NormalizedAlert(timestamp, src_ip, src_port, dst_ip, dst_port, signature, SNORT_FAST_FORMAT, ref)
 
 
 def render_eve_record(alert: NormalizedAlert) -> str:

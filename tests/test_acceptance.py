@@ -27,6 +27,7 @@ from aifseq.cli import main as cli_main
 from aifseq.ingest import (
     NormalizedAlert,
     RawRef,
+    Signature,
     parse_eve_record,
     parse_snort_fast_line,
     read_alert_stream,
@@ -167,13 +168,15 @@ def _corpus_alert(rng: random.Random, index: int) -> NormalizedAlert:
         src_port=rng.randint(1024, 65535) if portful else None,
         dst_ip=dst,
         dst_port=rng.randint(1, 1024) if portful else None,
-        protocol=protocol,
-        generator_id=rng.choice([1, 1, 3]),
-        signature_id=rng.randint(1, 3_000_000),
-        revision=rng.randint(0, 9),
-        signature_msg=rng.choice(_CORPUS_MSGS),
-        category=rng.choice(_CORPUS_CATEGORIES),
-        severity=rng.choice([None, 1, 2, 3]),
+        signature=Signature(
+            protocol,
+            rng.choice([1, 1, 3]),
+            rng.randint(1, 3_000_000),
+            rng.randint(0, 9),
+            rng.choice(_CORPUS_MSGS),
+            rng.choice(_CORPUS_CATEGORIES),
+            rng.choice([None, 1, 2, 3]),
+        ),
         source_format="eve",
         raw_ref=RawRef("corpus", index),
     )
@@ -283,13 +286,15 @@ def _random_alert_for_rules(rng: random.Random, index: int) -> NormalizedAlert:
         src_port=40000,
         dst_ip="192.168.1.20",
         dst_port=80,
-        protocol="TCP",
-        generator_id=rng.randint(1, 2),
-        signature_id=rng.randint(1, 100),
-        revision=1,
-        signature_msg=" ".join(rng.sample(_RULE_TOKENS, rng.randint(1, 4))),
-        category=rng.choice(_RULE_CATEGORIES + [None]),
-        severity=rng.choice([None, 1, 2, 3, 4]),
+        signature=Signature(
+            "TCP",
+            rng.randint(1, 2),
+            rng.randint(1, 100),
+            1,
+            " ".join(rng.sample(_RULE_TOKENS, rng.randint(1, 4))),
+            rng.choice(_RULE_CATEGORIES + [None]),
+            rng.choice([None, 1, 2, 3, 4]),
+        ),
         source_format="eve",
         raw_ref=RawRef("rand", index),
     )
@@ -347,13 +352,7 @@ def _step_pair(offset: float, micro: str, src: str):
         src_port=40000,
         dst_ip="192.168.1.20",
         dst_port=80,
-        protocol="TCP",
-        generator_id=1,
-        signature_id=1,
-        revision=1,
-        signature_msg="x",
-        category=None,
-        severity=2,
+        signature=Signature("TCP", 1, 1, 1, "x", None, 2),
         source_format="eve",
         raw_ref=RawRef("seq", index),
     )

@@ -20,7 +20,7 @@ from aifseq.classify import (
     load_mapping,
     starter_mapping_document,
 )
-from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert, RawRef
+from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert, RawRef, Signature
 from aifseq.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -44,7 +44,8 @@ def make_alert(**overrides) -> NormalizedAlert:
         raw_ref=RawRef("test", 1),
     )
     fields.update(overrides)
-    return NormalizedAlert(**fields)
+    signature = Signature(*(fields.pop(name) for name in Signature._fields))
+    return NormalizedAlert(signature=signature, **fields)
 
 
 def make_doc(rules, default_confidence=0.5, spec_version="t-1"):
@@ -514,6 +515,7 @@ OUTSIDE_KEY_VALUES = {
     "dst_ip": ["192.168.1.20", "10.9.9.9"],
     "dst_port": [80, None],
     "revision": [1, 2],
+    "protocol": ["TCP", "ICMP"],
 }
 # No rule matches NEUTRAL; changing any one keyed field to its value in
 # DECISIVE makes exactly one rule match.
@@ -523,7 +525,7 @@ DECISIVE = dict(category="Cat A", signature_msg="ET scan", signature_id=150, gen
 
 @st.composite
 def verdict_key_streams(draw):
-    """Alerts in pairs that differ in one keyed field, each with a twin that differs only outside the key."""
+    """Alerts in pairs that differ in one keyed field, each with a twin that differs only in fields no rule reads."""
     alerts = []
     for _ in range(draw(st.integers(1, 6))):
         base = {name: draw(st.sampled_from(values)) for name, values in KEY_VALUES.items()}
@@ -538,16 +540,20 @@ def verdict_key_streams(draw):
 @given(alerts=verdict_key_streams())
 @example(alerts=[make_alert(**{**NEUTRAL, name: DECISIVE[name]}) for name in NEUTRAL] + [make_alert(**NEUTRAL)])
 @example(alerts=[make_alert(**NEUTRAL)] + [make_alert(**{**NEUTRAL, name: DECISIVE[name]}) for name in NEUTRAL])
+@example(alerts=[make_alert(**base, **other) for base in (NEUTRAL, DECISIVE)
+                 for other in ({}, {"revision": 2}, {"protocol": "ICMP"})])
 def test_stream_memo_returns_the_oracle_verdict(alerts):
-    # classify_stream reuses a verdict for alerts that agree on every field
-    # a rule reads; classify_alert scans the rules every time.
+    # classify_stream reuses a verdict for alerts of one signature, whose
+    # values include every field a rule reads and two no rule reads
+    # (revision, protocol); classify_alert scans the rules every time.
     for alert, verdict in classify_stream(alerts, MEMO_SPEC, TAX):
         assert verdict is classify_alert(alert, MEMO_SPEC, TAX)
 
 
 def test_long_texts_bypass_the_stream_memo(monkeypatch):
-    # An alert whose message and category together run over MEMO_TEXT_LIMIT
-    # is scanned every time it comes; a short key is scanned once.
+    # An alert whose protocol, message and category together run over
+    # MEMO_TEXT_LIMIT is scanned every time it comes; a short one is scanned
+    # once.
     calls = []
 
     def counting(alert, spec, taxonomy):
@@ -560,6 +566,7 @@ def test_long_texts_bypass_the_stream_memo(monkeypatch):
     long = [
         make_alert(signature_msg="ET probe " + "x" * MEMO_TEXT_LIMIT),
         make_alert(signature_msg=half, category=half),
+        make_alert(**NEUTRAL, protocol="P" * MEMO_TEXT_LIMIT),
     ]
     alerts = (short + long) * 3
     pairs = list(classify_stream(alerts, MEMO_SPEC, TAX))

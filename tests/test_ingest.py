@@ -27,6 +27,7 @@ from aifseq.ingest import (
     FormatDetectionError,
     NormalizedAlert,
     RawRef,
+    Signature,
     parse_eve_record,
     parse_snort_fast_line,
     read_alert_stream,
@@ -428,7 +429,7 @@ def oracle_split(line):
         return None
     *stamp, gid, sid, rev, msg, category, priority, proto, src, dst = match.groups()
     severity = None if priority is None else int(priority)
-    signature = (int(gid), int(sid), int(rev), severity, msg, category or None, proto.upper())
+    signature = (proto.upper(), int(gid), int(sid), int(rev), msg, category or None, severity)
     return tuple(stamp), signature, src, dst
 
 
@@ -599,8 +600,8 @@ def former_parse_eve_record(line: str, *, ref: RawRef) -> NormalizedAlert | None
     if severity is not None and (not isinstance(severity, int) or isinstance(severity, bool) or severity < 1):
         raise AlertParseError(f"invalid alert.severity {severity!r}", ref)
     return NormalizedAlert(
-        timestamp, src_ip, src_port, dst_ip, dst_port, protocol,
-        gid, sid, rev, msg, category or None, severity, "eve", ref,
+        timestamp, src_ip, src_port, dst_ip, dst_port,
+        Signature(protocol, gid, sid, rev, msg, category or None, severity), "eve", ref,
     )
 
 
@@ -837,7 +838,8 @@ def test_priority_zero_is_malformed_in_both_formats():
     assert stats.malformed == 1
     assert stats.first_error_samples == [("<stream>:1", "invalid priority '0'")]
 
-    alert = replace(parse_snort_fast_line(FAST_LINE, assumed_year=2019), severity=0)
+    alert = parse_snort_fast_line(FAST_LINE, assumed_year=2019)
+    alert = replace(alert, signature=alert.signature._replace(severity=0))
     with pytest.raises(AlertParseError, match="priority"):
         parse_snort_fast_line(render_snort_fast_line(alert), assumed_year=2019)
     with pytest.raises(AlertParseError, match="severity"):
@@ -1047,13 +1049,13 @@ def test_stream_stats_fill_during_iteration():
     assert stats.alerts_emitted == 2
 
 
-MEMOS = (ingest._valid_ip, ingest._shared, ingest._fast_signature)
+MEMOS = (ingest._valid_ip, ingest._eve_signature, ingest._fast_signature)
 
 
 def uncached(monkeypatch):
     # Each memo gives way to an LRU of size 0 over the function it caches,
     # which keeps the __wrapped__ that the length bypass calls.
-    for name in ("_valid_ip", "_shared", "_fast_signature"):
+    for name in ("_valid_ip", "_eve_signature", "_fast_signature"):
         monkeypatch.setattr(ingest, name, lru_cache(maxsize=0)(getattr(ingest, name).__wrapped__))
 
 
@@ -1061,8 +1063,8 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
     # 5,000 lines with their own source, destination, message, signature id
     # and verdict key: 10,000 addresses, 5,000 signature segments and keys,
     # more than each memo holds; the first 500 lines come again after they
-    # were evicted. The same alerts as EVE records give _shared 5,000
-    # messages.
+    # were evicted. The same alerts as EVE records give _eve_signature 5,000
+    # records.
     tax = builtin_taxonomy()
     spec = load_mapping(starter_mapping_document(), tax)
     categories = ["Attempted Information Leak", "Misc activity", "Web Application Attack"]
@@ -1087,7 +1089,7 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
     eve_lines = [render_eve_record(alert) for alert in cached]
     eve_cached = list(read_alert_stream(eve_lines, fmt="eve")[0])
     assert [a.content_fields() for a in eve_cached] == [a.content_fields() for a in cached]
-    assert len({a.signature_msg for a in eve_cached}) > ingest._shared.cache_info().maxsize
+    assert len({a.signature for a in eve_cached}) > ingest._eve_signature.cache_info().maxsize
     for memo in MEMOS:
         info = memo.cache_info()
         assert 0 < info.currsize <= info.maxsize
@@ -1101,10 +1103,9 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
 def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
     long_msg = "x" * (MEMO_TEXT_LIMIT + 1)
     scoped = "fe80::1%" + "e" * MEMO_TEXT_LIMIT
-    for memo, text in [(ingest._valid_ip, scoped), (ingest._shared, long_msg)]:
-        before = memo.cache_info()
-        assert ingest._memo(memo, text) == memo.__wrapped__(text) is not None
-        assert memo.cache_info() == before
+    before = ingest._valid_ip.cache_info()
+    assert ingest._memo(ingest._valid_ip, scoped) == scoped
+    assert ingest._valid_ip.cache_info() == before
     # A fast line whose signature segment and both addresses are over the
     # limit touches no memo.
     fast = FAST_LINE.replace("GPL ATTACK_RESPONSE id check returned root", long_msg)
@@ -1117,8 +1118,22 @@ def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
     eve = eve_line(src_ip=scoped, alert={"signature_id": 1, "signature": long_msg})
     results.append(parse_eve_record(eve))
     assert results[0].signature_msg == results[1].signature_msg == long_msg
+    # An EVE record whose message and category are over the limit together,
+    # or whose protocol is, with both addresses over it too, touches no memo
+    # either: each parse builds its own signature record.
+    half = "m" * (MEMO_TEXT_LIMIT // 2)
+    eve_halves = eve_line(src_ip=scoped, dest_ip=scoped, alert={"signature_id": 1, "signature": half, "category": half})
+    eve_proto = eve_line(src_ip=scoped, dest_ip=scoped, proto="p" * MEMO_TEXT_LIMIT)
+    before = [memo.cache_info() for memo in MEMOS]
+    results += [parse_eve_record(line) for line in (eve_halves, eve_halves, eve_proto, eve_proto)]
+    assert [memo.cache_info() for memo in MEMOS] == before
+    for first, second in (results[2:4], results[4:6]):
+        assert first.signature == second.signature and first.signature is not second.signature
     uncached(monkeypatch)
-    assert results == [parse_snort_fast_line(fast, assumed_year=2019), parse_eve_record(eve)]
+    assert results == [
+        parse_snort_fast_line(fast, assumed_year=2019),
+        *(parse_eve_record(line) for line in (eve, eve_halves, eve_halves, eve_proto, eve_proto)),
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["eve", "snort_fast"])
@@ -1151,6 +1166,7 @@ def test_alerts_repeating_a_value_share_one_copy(fmt):
     assert first.signature_msg is second.signature_msg
     assert first.category is second.category
     assert first.protocol is second.protocol
-    if fmt == "snort_fast":
-        # json.loads builds its own ints; the fast parser shares them.
-        assert first.signature_id == 2100498 and first.signature_id is second.signature_id
+    # json.loads builds its own ints, yet both parsers share them: the alerts
+    # share one signature record.
+    assert first.signature is second.signature
+    assert first.signature_id == 2100498 and first.signature_id is second.signature_id

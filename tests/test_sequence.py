@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aifseq.classify import Classification
-from aifseq.ingest import NormalizedAlert, RawRef
+from aifseq.ingest import NormalizedAlert, RawRef, Signature, read_alert_stream
 from aifseq.sequence import (
     AisSequence,
     AttackerKey,
@@ -48,13 +48,7 @@ def pair(seconds, micro="host_discovery", src="10.0.0.5", dst="192.168.1.20"):
         src_port=40000,
         dst_ip=dst,
         dst_port=80,
-        protocol="TCP",
-        generator_id=1,
-        signature_id=1000000 + index,
-        revision=1,
-        signature_msg="sig",
-        category=None,
-        severity=2,
+        signature=Signature("TCP", 1, 1000000 + index, 1, "sig", None, 2),
         source_format="eve",
         raw_ref=RawRef("test", index),
     )
@@ -742,6 +736,26 @@ def test_build_sequences_frees_a_list_built_for_the_call():
     )
     assert sum(len(seq.episodes) for seq in seqs) == 2_000 * 18
     assert peak < 1.95 * retained
+
+
+def test_parsed_alerts_of_one_signature_hold_it_once():
+    """10,000 fast alerts of one signature hold one record of its values between them.
+
+    Traced bytes retained per alert, Python 3.11, list slot included: 304
+    when each alert kept the signature's seven values in slots of its own
+    (14 slots, 144 B an alert), 256 with the shared record (8 slots, 96 B).
+    """
+    lines = [
+        f"05/01-08:00:{i // 200:02d}.{i:06d}  [**] [1:2100498:7] GPL ATTACK_RESPONSE id check returned root "
+        f"[**] [Classification: Potentially Bad Traffic] [Priority: 2] {{TCP}} 10.0.0.5:51823 -> 192.168.1.20:80"
+        for i in range(10_000)
+    ]
+    alerts, _, retained = traced_call(
+        lambda: list(read_alert_stream(lines, fmt="snort_fast", assumed_year=2019)[0])
+    )
+    assert len(alerts) == 10_000
+    assert len({id(alert.signature) for alert in alerts}) == 1
+    assert retained < 280 * len(alerts)
 
 
 def test_build_sequences_reads_any_iterable_once_and_leaves_it_unchanged():
