@@ -23,7 +23,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Any, Callable, Iterable, Iterator
 
-from aifseq.ingest import MEMO_TEXT_LIMIT, NormalizedAlert, Signature
+from aifseq.ingest import NormalizedAlert, Signature, signature_fits_memo
 from aifseq.taxonomy import SENTINEL_KEY, Taxonomy, read_document, summarize_findings
 
 # Distinct signatures one stream's verdict memo holds before it starts over.
@@ -68,8 +68,8 @@ class MappingRule:
     def predicate_count(self) -> int:
         return len(self.predicates)
 
-    def matches(self, signature: Signature | NormalizedAlert, msg_lower: str) -> bool:
-        """Whether every predicate holds; an alert reads as its signature does."""
+    def matches(self, signature: Signature, msg_lower: str) -> bool:
+        """Whether every predicate holds for a signature and its lowercased message."""
         for test, value in self.predicates:
             if not test(signature, msg_lower, value):
                 return False
@@ -308,8 +308,8 @@ def classify_stream(
     once per distinct signature and reuses the verdict for repeats; the
     parsers hand every alert of one signature the same record, so a repeat
     is found by identity. The memo is emptied when it holds a fixed number
-    of signatures, and one whose protocol, message and category together
-    exceed ``MEMO_TEXT_LIMIT`` characters is scanned each time it comes.
+    of signatures, and one that ``ingest.signature_fits_memo`` turns away is
+    scanned each time it comes.
     """
     verdicts: dict[Signature, Classification] = {}
     for alert in alerts:
@@ -317,8 +317,7 @@ def classify_stream(
         verdict = verdicts.get(signature)
         if verdict is None:
             verdict = classify_alert(alert, spec, taxonomy)
-            texts = len(signature.protocol) + len(signature.signature_msg) + len(signature.category or "")
-            if texts <= MEMO_TEXT_LIMIT:
+            if signature_fits_memo(signature.protocol, signature.signature_msg, signature.category):
                 if len(verdicts) >= _VERDICT_MEMO_SIZE:
                     verdicts.clear()
                 verdicts[signature] = verdict

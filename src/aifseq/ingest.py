@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from ipaddress import ip_address
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, NamedTuple
 
@@ -51,16 +50,22 @@ _NO_YEAR_MESSAGE = "snort_fast input needs assumed_year (the format has no year 
 # pure per-value work (address checks, fast signature segments, EVE
 # signature records) runs once per distinct value and the alerts share its
 # result.
-# Each memo is an lru_cache of a fixed number of entries; a text longer than
-# this limit (for an EVE signature record, its three texts together)
-# bypasses it, so a full memo holds at most its size times this many
-# characters of keys.
+# Each memo is an lru_cache of a fixed number of entries, with the uncached
+# path as its ``__wrapped__``; a text longer than this limit bypasses it, and
+# so does a signature whose texts together are longer (the one rule of
+# ``signature_fits_memo``, which the verdict memo follows too), so a full
+# memo holds at most its size times this many characters of keys.
 MEMO_TEXT_LIMIT = 512
 
 
 def _memo(cache, text: str):
     """``cache(text)``, or the function behind it for a text over the limit."""
     return cache(text) if len(text) <= MEMO_TEXT_LIMIT else cache.__wrapped__(text)
+
+
+def signature_fits_memo(protocol: str, msg: str, category: str | None) -> bool:
+    """Whether the memos keep a signature: its three texts total at most ``MEMO_TEXT_LIMIT`` characters."""
+    return len(protocol) + len(msg) + len(category or "") <= MEMO_TEXT_LIMIT
 
 
 class AlertParseError(ValueError):
@@ -121,9 +126,7 @@ class NormalizedAlert:
     """One IDS alert in wire-format-independent form.
 
     ``timestamp`` is always UTC; ports are ``None`` exactly when the
-    signature's protocol does not carry them. The signature's seven values
-    can also be read, not set, under their own names (``alert.protocol``);
-    each such read costs a property call, so hot paths read ``signature``.
+    signature's protocol does not carry them.
     """
 
     timestamp: datetime
@@ -134,14 +137,6 @@ class NormalizedAlert:
     signature: Signature
     source_format: str
     raw_ref: RawRef
-
-    protocol = property(attrgetter("signature.protocol"))
-    generator_id = property(attrgetter("signature.generator_id"))
-    signature_id = property(attrgetter("signature.signature_id"))
-    revision = property(attrgetter("signature.revision"))
-    signature_msg = property(attrgetter("signature.signature_msg"))
-    category = property(attrgetter("signature.category"))
-    severity = property(attrgetter("signature.severity"))
 
     def content_fields(self) -> tuple:
         """The timestamp and endpoints, then the signature's values: all but the provenance pair."""
@@ -202,10 +197,9 @@ def _valid_ip(text: str) -> str | None:
     return text
 
 
-@lru_cache(maxsize=4096)
-def _eve_signature(protocol, gid, sid, rev, msg, category, severity) -> Signature:
-    """The record of these values, built once: every EVE alert of one signature shares it."""
-    return Signature(protocol, gid, sid, rev, msg, category, severity)
+# The record of an EVE signature's values, built once: every EVE alert of one
+# signature shares it.
+_eve_signature = lru_cache(maxsize=4096)(Signature)
 
 
 # The C scanner behind json.loads, without its wrapper: it decodes a line that
@@ -303,10 +297,8 @@ def parse_eve_record(line: str, *, ref: RawRef = _DEFAULT_REF) -> NormalizedAler
     if severity is not None and (severity.__class__ is not int or severity < 1):
         raise AlertParseError(f"invalid alert.severity {severity!r}", ref)
     category = category or None
-    if len(protocol) + len(msg) + len(category or "") > MEMO_TEXT_LIMIT:
-        signature = Signature(protocol, gid, sid, rev, msg, category, severity)
-    else:
-        signature = _eve_signature(protocol, gid, sid, rev, msg, category, severity)
+    make = _eve_signature if signature_fits_memo(protocol, msg, category) else Signature
+    signature = make(protocol, gid, sid, rev, msg, category, severity)
     return NormalizedAlert(timestamp, src_ip, src_port, dst_ip, dst_port, signature, EVE_FORMAT, ref)
 
 
@@ -475,17 +467,18 @@ def render_eve_record(alert: NormalizedAlert) -> str:
     record["dest_ip"] = alert.dst_ip
     if alert.dst_port is not None:
         record["dest_port"] = alert.dst_port
-    record["proto"] = alert.protocol
+    sig = alert.signature
+    record["proto"] = sig.protocol
     alert_obj: dict[str, Any] = {
-        "gid": alert.generator_id,
-        "signature_id": alert.signature_id,
-        "rev": alert.revision,
-        "signature": alert.signature_msg,
+        "gid": sig.generator_id,
+        "signature_id": sig.signature_id,
+        "rev": sig.revision,
+        "signature": sig.signature_msg,
     }
-    if alert.category is not None:
-        alert_obj["category"] = alert.category
-    if alert.severity is not None:
-        alert_obj["severity"] = alert.severity
+    if sig.category is not None:
+        alert_obj["category"] = sig.category
+    if sig.severity is not None:
+        alert_obj["severity"] = sig.severity
     record["alert"] = alert_obj
     return json.dumps(record, separators=(",", ":"))
 
@@ -494,15 +487,16 @@ def render_snort_fast_line(alert: NormalizedAlert) -> str:
     """Render a normalized alert as a Snort fast-alert line (year dropped)."""
     ts = alert.timestamp.astimezone(timezone.utc)
     stamp = ts.strftime("%m/%d-%H:%M:%S.%f")
-    sig = f"[{alert.generator_id}:{alert.signature_id}:{alert.revision}]"
-    parts = [f"{stamp}  [**] {sig} {alert.signature_msg} [**]"]
-    if alert.category is not None:
-        parts.append(f"[Classification: {alert.category}]")
-    if alert.severity is not None:
-        parts.append(f"[Priority: {alert.severity}]")
+    sig = alert.signature
+    ids = f"[{sig.generator_id}:{sig.signature_id}:{sig.revision}]"
+    parts = [f"{stamp}  [**] {ids} {sig.signature_msg} [**]"]
+    if sig.category is not None:
+        parts.append(f"[Classification: {sig.category}]")
+    if sig.severity is not None:
+        parts.append(f"[Priority: {sig.severity}]")
     src = alert.src_ip if alert.src_port is None else f"{alert.src_ip}:{alert.src_port}"
     dst = alert.dst_ip if alert.dst_port is None else f"{alert.dst_ip}:{alert.dst_port}"
-    parts.append(f"{{{alert.protocol}}} {src} -> {dst}")
+    parts.append(f"{{{sig.protocol}}} {src} -> {dst}")
     return " ".join(parts)
 
 

@@ -312,8 +312,8 @@ def test_criterion_4_classifier_determinism(capsys):
 
             # Oracle: evaluate every rule, then apply the tie-break chain; the
             # winner's target comes from its document, not from the compiled rule.
-            msg_lower = alert.signature_msg.lower()
-            matching = [r for r in spec.rules if r.matches(alert, msg_lower)]
+            msg_lower = alert.signature.signature_msg.lower()
+            matching = [r for r in spec.rules if r.matches(alert.signature, msg_lower)]
             if matching:
                 best = sorted(
                     matching, key=lambda r: (-r.priority, -r.predicate_count, r.rule_id)

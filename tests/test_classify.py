@@ -477,7 +477,7 @@ def test_classify_stream_is_order_preserving_and_total():
         make_alert(category="Attempted Administrator Privilege Gain", signature_id=3),
     ]
     pairs = list(classify_stream(alerts, spec, TAX))
-    assert [a.signature_id for a, _ in pairs] == [1, 2, 3]
+    assert [a.signature.signature_id for a, _ in pairs] == [1, 2, 3]
     assert [c.micro for _, c in pairs] == [
         "root_privilege_escalation",
         "unclassified",
@@ -552,8 +552,8 @@ def test_stream_memo_returns_the_oracle_verdict(alerts):
 
 def test_long_texts_bypass_the_stream_memo(monkeypatch):
     # An alert whose protocol, message and category together run over
-    # MEMO_TEXT_LIMIT is scanned every time it comes; a short one is scanned
-    # once.
+    # MEMO_TEXT_LIMIT is scanned every time it comes; a short one, or one
+    # whose texts total exactly the limit, is scanned once.
     calls = []
 
     def counting(alert, spec, taxonomy):
@@ -561,12 +561,14 @@ def test_long_texts_bypass_the_stream_memo(monkeypatch):
         return classify_alert(alert, spec, taxonomy)
 
     monkeypatch.setattr(classify, "classify_alert", counting)
-    short = [make_alert(**NEUTRAL), make_alert(**DECISIVE)]
+    edge = "c" * (MEMO_TEXT_LIMIT - len("TCP") - len("ET scan"))
+    short = [make_alert(**NEUTRAL), make_alert(**DECISIVE), make_alert(**{**DECISIVE, "category": edge})]
     half = "m" * (MEMO_TEXT_LIMIT // 2 + 1)
     long = [
         make_alert(signature_msg="ET probe " + "x" * MEMO_TEXT_LIMIT),
         make_alert(signature_msg=half, category=half),
         make_alert(**NEUTRAL, protocol="P" * MEMO_TEXT_LIMIT),
+        make_alert(**{**DECISIVE, "category": edge + "c"}),
     ]
     alerts = (short + long) * 3
     pairs = list(classify_stream(alerts, MEMO_SPEC, TAX))
@@ -694,8 +696,8 @@ def random_alert(rng: random.Random) -> NormalizedAlert:
 def oracle_verdict(alert, spec, doc) -> tuple[str, str | None]:
     # Evaluate every rule independently, then apply the tie-break chain. The
     # winner's target comes from its document, not from the compiled rule.
-    msg_lower = alert.signature_msg.lower()
-    matching = [r for r in spec.rules if r.matches(alert, msg_lower)]
+    msg_lower = alert.signature.signature_msg.lower()
+    matching = [r for r in spec.rules if r.matches(alert.signature, msg_lower)]
     if not matching:
         return "unclassified", None
     best = sorted(matching, key=lambda r: (-r.priority, -r.predicate_count, r.rule_id))[0]

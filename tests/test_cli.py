@@ -741,6 +741,19 @@ def test_golden_fixture_regenerates_from_its_script(capsys, tmp_path, monkeypatc
     assert (tmp_path / GOLDEN.name).read_bytes() == GOLDEN.read_bytes()
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # The README's "Library use" block, run as written on the golden scenario
+    # under the file name it reads.
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "eve.json").write_bytes(GOLDEN.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(compile(example, "README.md", "exec"), names)
+    assert len(names["sequences"]) == 2
+    assert 0 <= names["score"] <= 1
+
+
 def test_traced_benchmark_run_drives_the_cli(tmp_path):
     # perfbench/spans.py replaces the layer functions aifseq.cli imports and
     # counts what build_sequences received; this fails if the CLI stops

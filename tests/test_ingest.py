@@ -79,22 +79,22 @@ def test_eve_parse_full_record():
     assert alert.src_port == 51823
     assert alert.dst_ip == "192.168.1.20"
     assert alert.dst_port == 80
-    assert alert.protocol == "TCP"
-    assert alert.generator_id == 1
-    assert alert.signature_id == 2100498
-    assert alert.revision == 7
-    assert alert.signature_msg == "GPL ATTACK_RESPONSE id check returned root"
-    assert alert.category == "Potentially Bad Traffic"
-    assert alert.severity == 2
+    assert alert.signature.protocol == "TCP"
+    assert alert.signature.generator_id == 1
+    assert alert.signature.signature_id == 2100498
+    assert alert.signature.revision == 7
+    assert alert.signature.signature_msg == "GPL ATTACK_RESPONSE id check returned root"
+    assert alert.signature.category == "Potentially Bad Traffic"
+    assert alert.signature.severity == 2
     assert alert.source_format == "eve"
 
 
 def test_eve_gid_and_rev_default_when_absent():
     line = eve_line(alert={"signature_id": 99, "signature": "x"})
     alert = parse_eve_record(line)
-    assert (alert.generator_id, alert.revision) == (1, 0)
-    assert alert.category is None
-    assert alert.severity is None
+    assert (alert.signature.generator_id, alert.signature.revision) == (1, 0)
+    assert alert.signature.category is None
+    assert alert.signature.severity is None
 
 
 @pytest.mark.parametrize(
@@ -208,7 +208,7 @@ def test_eve_icmp_ports_are_dropped():
     # Some producers put type/code into the port fields; normalized form
     # keeps ports only for port-carrying protocols.
     alert = parse_eve_record(eve_line(proto="ICMP", src_port=8, dest_port=0))
-    assert alert.protocol == "ICMP"
+    assert alert.signature.protocol == "ICMP"
     assert alert.src_port is None and alert.dst_port is None
 
 
@@ -244,11 +244,11 @@ def test_fast_parse_full_line():
     assert alert.src_port == 51823
     assert alert.dst_ip == "192.168.1.20"
     assert alert.dst_port == 80
-    assert alert.protocol == "TCP"
-    assert (alert.generator_id, alert.signature_id, alert.revision) == (1, 2100498, 7)
-    assert alert.signature_msg == "GPL ATTACK_RESPONSE id check returned root"
-    assert alert.category == "Potentially Bad Traffic"
-    assert alert.severity == 2
+    assert alert.signature.protocol == "TCP"
+    assert (alert.signature.generator_id, alert.signature.signature_id, alert.signature.revision) == (1, 2100498, 7)
+    assert alert.signature.signature_msg == "GPL ATTACK_RESPONSE id check returned root"
+    assert alert.signature.category == "Potentially Bad Traffic"
+    assert alert.signature.severity == 2
     assert alert.source_format == "snort_fast"
 
 
@@ -258,8 +258,8 @@ def test_fast_classification_and_priority_optional():
         "{UDP} 172.16.0.9:5353 -> 172.16.0.1:53"
     )
     alert = parse_snort_fast_line(line, assumed_year=2021)
-    assert alert.category is None
-    assert alert.severity is None
+    assert alert.signature.category is None
+    assert alert.signature.severity is None
 
 
 def test_fast_priority_without_classification():
@@ -268,8 +268,8 @@ def test_fast_priority_without_classification():
         "{TCP} 10.1.1.1:1024 -> 10.1.1.2:22"
     )
     alert = parse_snort_fast_line(line, assumed_year=2021)
-    assert alert.category is None
-    assert alert.severity == 3
+    assert alert.signature.category is None
+    assert alert.signature.severity == 3
 
 
 def test_fast_portless_protocol():
@@ -834,7 +834,7 @@ def test_priority_zero_is_malformed_in_both_formats():
     # same observable parsed in one wire format and not in the other.
     zero = FAST_LINE.replace("Priority: 2", "Priority: 0")
     alerts, stats = read_alert_stream([zero, FAST_LINE], fmt="snort_fast", assumed_year=2019)
-    assert [alert.severity for alert in alerts] == [2]
+    assert [alert.signature.severity for alert in alerts] == [2]
     assert stats.malformed == 1
     assert stats.first_error_samples == [("<stream>:1", "invalid priority '0'")]
 
@@ -872,7 +872,7 @@ def test_fast_arabic_indic_digits_still_parse():
     line = FAST_LINE.replace("[1:2100498:7]", "[1:2100498:7]".translate(digits))
     line = line.replace(":80", ":80".translate(digits))
     alert = parse_snort_fast_line(line, assumed_year=2019)
-    assert (alert.generator_id, alert.signature_id, alert.revision, alert.dst_port) == (1, 2100498, 7, 80)
+    assert (alert.signature.generator_id, alert.signature.signature_id, alert.signature.revision, alert.dst_port) == (1, 2100498, 7, 80)
 
 
 def test_stream_error_samples_capped():
@@ -942,7 +942,7 @@ def test_stream_bytes_split_lines_like_a_file(tmp_path):
     results = {}
     for name, source in [("path", path), ("stream", io.BytesIO(data)), ("bytes", data)]:
         alerts, stats = read_alert_stream(source, fmt="eve")
-        results[name] = [(a.signature_msg, a.raw_ref.index) for a in alerts], stats.to_dict()
+        results[name] = [(a.signature.signature_msg, a.raw_ref.index) for a in alerts], stats.to_dict()
     assert results["bytes"] == results["path"] == results["stream"]
     assert results["bytes"][0][0] == ("GPL ATTACK_RESPONSE id\u0085check\u2028x returned root", 1)
     alerts, _ = read_alert_stream(data, fmt="eve")
@@ -1084,8 +1084,8 @@ def test_memos_stay_bounded_and_match_the_uncached_path(monkeypatch):
         cached.append(alert)
     assert stats.alerts_emitted == len(lines)
     assert len({a.src_ip for a in cached} | {a.dst_ip for a in cached}) > ingest._valid_ip.cache_info().maxsize
-    assert len({a.signature_msg for a in cached}) > ingest._fast_signature.cache_info().maxsize
-    assert len({a.signature_id for a in cached}) > ingest._fast_signature.cache_info().maxsize
+    assert len({a.signature.signature_msg for a in cached}) > ingest._fast_signature.cache_info().maxsize
+    assert len({a.signature.signature_id for a in cached}) > ingest._fast_signature.cache_info().maxsize
     eve_lines = [render_eve_record(alert) for alert in cached]
     eve_cached = list(read_alert_stream(eve_lines, fmt="eve")[0])
     assert [a.content_fields() for a in eve_cached] == [a.content_fields() for a in cached]
@@ -1117,7 +1117,7 @@ def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
     assert results[0].src_ip == results[0].dst_ip == scoped
     eve = eve_line(src_ip=scoped, alert={"signature_id": 1, "signature": long_msg})
     results.append(parse_eve_record(eve))
-    assert results[0].signature_msg == results[1].signature_msg == long_msg
+    assert results[0].signature.signature_msg == results[1].signature.signature_msg == long_msg
     # An EVE record whose message and category are over the limit together,
     # or whose protocol is, with both addresses over it too, touches no memo
     # either: each parse builds its own signature record.
@@ -1129,10 +1129,24 @@ def test_texts_over_the_limit_bypass_the_memos(monkeypatch):
     assert [memo.cache_info() for memo in MEMOS] == before
     for first, second in (results[2:4], results[4:6]):
         assert first.signature == second.signature and first.signature is not second.signature
+    # At the edge: protocol, message and category that total exactly the
+    # limit share one memoized record; one character more bypasses the memo.
+    edges = []
+    for extra, memoized in ((0, True), (1, False)):
+        category = "c" * (MEMO_TEXT_LIMIT - len("TCP") - len(half) + extra)
+        edge = eve_line(src_ip=scoped, dest_ip=scoped, alert={"signature_id": 1, "signature": half, "category": category})
+        before = ingest._eve_signature.cache_info()
+        first, second = parse_eve_record(edge), parse_eve_record(edge)
+        assert first.signature == second.signature
+        assert (first.signature is second.signature) is memoized
+        assert (ingest._eve_signature.cache_info() != before) is memoized
+        edges.append(edge)
+        results += [first, second]
     uncached(monkeypatch)
     assert results == [
         parse_snort_fast_line(fast, assumed_year=2019),
         *(parse_eve_record(line) for line in (eve, eve_halves, eve_halves, eve_proto, eve_proto)),
+        *(parse_eve_record(line) for line in edges for _ in range(2)),
     ]
 
 
@@ -1163,10 +1177,10 @@ def test_alerts_repeating_a_value_share_one_copy(fmt):
     first, second = read_alert_stream(lines, fmt=fmt, assumed_year=2019)[0]
     assert first.src_ip == source and first.src_ip is second.src_ip
     assert first.dst_ip is second.dst_ip
-    assert first.signature_msg is second.signature_msg
-    assert first.category is second.category
-    assert first.protocol is second.protocol
+    assert first.signature.signature_msg is second.signature.signature_msg
+    assert first.signature.category is second.signature.category
+    assert first.signature.protocol is second.signature.protocol
     # json.loads builds its own ints, yet both parsers share them: the alerts
     # share one signature record.
     assert first.signature is second.signature
-    assert first.signature_id == 2100498 and first.signature_id is second.signature_id
+    assert first.signature.signature_id == 2100498 and first.signature.signature_id is second.signature.signature_id
