@@ -7,7 +7,8 @@ names the micro state it assigns. Classification is total: among matching
 rules the winner is chosen by (priority desc, predicate count desc,
 rule_id asc), and an alert no rule matches gets the reserved
 ``unclassified`` sentinel. The tie-break chain is total, so verdicts do
-not depend on rule file ordering.
+not depend on rule file ordering. Verdicts are shared objects, never
+copied.
 
 The shipped starter mapping covers the stock Snort/Suricata classtype
 vocabulary. It is an editorial artifact, versioned and fully overridable;
@@ -43,7 +44,8 @@ class Classification:
     """A rule's verdict, built once when the mapping loads.
 
     Every alert the rule matches shares it; the alert travels beside it as
-    ``(alert, verdict)``.
+    ``(alert, verdict)``, and each ``SequenceStep`` built from the pair holds
+    this same object.
     """
 
     micro: str

@@ -55,15 +55,16 @@ class AttackerKey:
 class SequenceStep:
     """One classified alert inside an episode.
 
-    One is built per classified alert. Like ``RawRef`` it is not frozen, for
-    construction speed. It still compares and hashes by value, so frozen
-    ``Episode`` and ``AisSequence`` hash through their steps. Assigning to a
-    field does not raise, but the library never does it.
+    One is built per classified alert. It holds its alert's shared verdict,
+    so its labels are read through it (``step.verdict.micro``). Like
+    ``RawRef`` it is not frozen, for construction speed. It still compares
+    and hashes by value, so frozen ``Episode`` and ``AisSequence`` hash
+    through their steps. Assigning to a field does not raise, but the library
+    never does it.
     """
 
     ts: object  # datetime; kept loose so tests can build steps directly
-    micro: str
-    macro: str
+    verdict: Classification
     alert_ref: RawRef
 
 
@@ -86,7 +87,7 @@ class Episode:
         """Maximal runs of identical micros: (first step of run, run length)."""
         runs: list[tuple[SequenceStep, int]] = []
         start = 0
-        for _, run in collapse_repeats(step.micro for step in self.steps):
+        for _, run in collapse_repeats(step.verdict.micro for step in self.steps):
             runs.append((self.steps[start], run))
             start += run
         return tuple(runs)
@@ -109,7 +110,7 @@ class AisSequence:
         return sum(len(ep.steps) for ep in self.episodes)
 
     def collapsed_episode_labels(self) -> list[list[str]]:
-        return [[step.micro for step, _ in ep.collapsed_runs] for ep in self.episodes]
+        return [[step.verdict.micro for step, _ in ep.collapsed_runs] for ep in self.episodes]
 
     @cached_property
     def flattened_collapsed(self) -> tuple[str, ...]:
@@ -187,11 +188,12 @@ def build_sequences(
             )
         if not include_unclassified and verdict.micro == SENTINEL_KEY:
             continue
-        step = SequenceStep(ts, verdict.micro, verdict.macro, alert.raw_ref)
+        step = SequenceStep(ts, verdict, alert.raw_ref)
         groups.setdefault(attacker(alert), []).append(step)
     # A list built for this call alone (as the CLI builds one) is freed here,
     # with every alert in it, before episodes are cut: a step keeps only its
-    # timestamp and raw ref. A list the caller still holds is left as it is.
+    # timestamp, its raw ref and its alert's shared verdict. A list the caller
+    # still holds is left as it is.
     del classified
 
     # A stable global sort followed by a partition orders each group exactly
@@ -287,13 +289,13 @@ def transition_matrix(
     0x0 matrix.
     """
     lvl = AisLevel(level)
-    # The level values are the SequenceStep field names.
+    # The level values are the Classification field names.
     label_of = attrgetter(lvl.value)
     label_lists: list[list[str]] = []
     for seq in seqs:
         for episode in seq.episodes:
             steps = [step for step, _ in episode.collapsed_runs] if collapsed else episode.steps
-            label_lists.append([label_of(step) for step in steps])
+            label_lists.append([label_of(step.verdict) for step in steps])
 
     states = sorted({label for labels in label_lists for label in labels})
     index = {state: i for i, state in enumerate(states)}
@@ -321,7 +323,7 @@ def extract_ngrams(steps: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
 def sequence_similarity(
     x: AisSequence, y: AisSequence, method: str = "lcs_ratio", *, n: int = 2
 ) -> float:
-    """Score two attackers' collapsed label sequences in [0, 1].
+    """Score two attackers' collapsed label sequences (steps' micros) in [0, 1].
 
     ``lcs_ratio`` is |LCS| / max length over the flattened collapsed
     lists; ``ngram_jaccard`` is Jaccard over each sequence's union of
@@ -370,7 +372,7 @@ STEP_COLUMNS = ("ts", "micro", "macro", "run_length", "alert_ref")
 def episode_step_rows(episode: Episode) -> Iterator[tuple[str, str, str, int, str]]:
     """Each collapsed step of an episode as exported, in ``STEP_COLUMNS`` order."""
     for step, run in episode.collapsed_runs:
-        yield step.ts.isoformat(), step.micro, step.macro, run, str(step.alert_ref)
+        yield step.ts.isoformat(), step.verdict.micro, step.verdict.macro, run, str(step.alert_ref)
 
 
 def sequence_to_document(seq: AisSequence) -> dict:

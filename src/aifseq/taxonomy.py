@@ -355,11 +355,12 @@ def read_document(path: str | Path) -> Any:
 def load_taxonomy(source: str | Path | None = None) -> Taxonomy:
     """Load the builtin catalog or a taxonomy JSON file.
 
-    ``None`` or ``"builtin"`` selects the shipped catalog; any other string
-    or a Path names a file, read with :func:`read_document`. A document
-    already parsed goes to :func:`from_document`. Raises TaxonomyError on an
-    invalid document, a file the JSON parser rejects included, and OSError
-    on an unreadable path.
+    ``source`` is ``None`` or ``"builtin"``, which select the shipped
+    catalog, or any other string or a Path, which names a file read with
+    :func:`read_document`. A document already parsed is not a source (a
+    dict raises TypeError): pass it to :func:`from_document` instead. Raises
+    TaxonomyError on an invalid document, a file the JSON parser rejects
+    included, and OSError on an unreadable path.
     """
     if source is None or source == "builtin":
         return builtin_taxonomy()

@@ -413,7 +413,7 @@ def _label_sequence(labels: tuple[str, ...], who: str) -> AisSequence:
     if not labels:
         return AisSequence(key=key, episodes=(), gap_threshold=600.0)
     steps = tuple(
-        SequenceStep(BASE + timedelta(seconds=i), label, label, RawRef("sim", i))
+        SequenceStep(BASE + timedelta(seconds=i), Classification(label, label, "r", 0.9), RawRef("sim", i))
         for i, label in enumerate(labels)
     )
     return AisSequence(key=key, episodes=(Episode(steps=steps),), gap_threshold=600.0)
