@@ -766,7 +766,8 @@ def test_steps_of_one_verdict_hold_it_once():
 
     Traced bytes retained per step, Python 3.11, tuple slot included: 72
     when each step kept the verdict's micro and macro in slots of its own
-    (4 slots), 64 with the shared verdict (3 slots).
+    (4 slots), 64 with the shared verdict (3 slots). ``tracemalloc`` counts
+    the bytes asked for; pymalloc serves both sizes from its 64 B class.
     """
     verdict = pair(0)[1]
     stream = [(pair(i)[0], verdict) for i in range(20_000)]
